@@ -12,7 +12,9 @@ import (
 
 // DefaultCacheCapacity bounds a Cache constructed with a non-positive
 // capacity. The Notary's bulk validation touches one entry per unexpired
-// leaf; 16k entries cover a paper-scale Notary pass with room to spare.
+// leaf and root union, so 16k entries hold a bench-scale pass. A
+// paper-scale pass (about 18.4k unexpired leaves, two unions) exceeds
+// it; there the corpus's signature memo saves the repeated work instead.
 const DefaultCacheCapacity = 1 << 14
 
 // cacheKey identifies one validation outcome: the verifier's pool

@@ -10,7 +10,8 @@
 //
 // The verifier speaks corpus.Ref internally: every pool member is interned
 // once in a content-addressed corpus, so identities and fingerprints are
-// table lookups, the signature cache is keyed by a pair of uint32 handles,
+// table lookups, signature checks are memoized on the corpus by a pair of
+// uint32 handles (so every verifier over one corpus checks an edge once),
 // and the pool key is derived from precomputed content digests instead of
 // re-fingerprinting the pool.
 package chain
@@ -57,35 +58,10 @@ type Verifier struct {
 	rootSum corpus.Digest
 	poolSum corpus.Digest
 
-	// sigCache memoizes signature checks keyed by (child, parent) refs.
-	// Bulk validation passes (the Notary validates tens of thousands of
-	// leaves against the same pool) re-check the same intermediate→root
-	// edges constantly; caching turns those into map hits.
-	mu       sync.Mutex
-	sigCache map[sigKey]bool
-
 	// poolHash is the content hash behind PoolKey, computed once: the pool
 	// is immutable after construction, only maxDepth can change later.
 	poolOnce sync.Once
 	poolHash string
-}
-
-type sigKey struct{ child, parent corpus.Ref }
-
-// checkSignature is CheckSignatureFrom with memoization.
-func (v *Verifier) checkSignature(child, parent corpus.Ref) bool {
-	k := sigKey{child, parent}
-	v.mu.Lock()
-	ok, hit := v.sigCache[k]
-	v.mu.Unlock()
-	if hit {
-		return ok
-	}
-	ok = v.c.Cert(child).CheckSignatureFrom(v.c.Cert(parent)) == nil
-	v.mu.Lock()
-	v.sigCache[k] = ok
-	v.mu.Unlock()
-	return ok
 }
 
 // NewVerifier returns a Verifier trusting roots, able to cross the given
@@ -130,7 +106,6 @@ func newVerifier(c *corpus.Corpus, nroots, npool int, at time.Time) *Verifier {
 		c:         c,
 		roots:     make(map[certid.Identity]corpus.Ref, nroots),
 		bySubject: make(map[string][]corpus.Ref, npool),
-		sigCache:  make(map[sigKey]bool),
 	}
 }
 
@@ -184,14 +159,16 @@ func (v *Verifier) isRoot(ref corpus.Ref) bool {
 }
 
 // candidateIssuers returns pool refs whose subject matches c's issuer, that
-// are marked CA, and that verify c's signature.
+// are marked CA, and that verify c's signature. The signature check is the
+// corpus's memoized one: it depends on the two certificates alone, never
+// on this verifier's roots, instant or depth.
 func (v *Verifier) candidateIssuers(ref corpus.Ref) []corpus.Ref {
 	var out []corpus.Ref
 	for _, cand := range v.bySubject[string(v.c.Cert(ref).RawIssuer)] {
 		if !v.c.Cert(cand).IsCA {
 			continue
 		}
-		if !v.checkSignature(ref, cand) {
+		if !v.c.CheckSignature(ref, cand) {
 			continue
 		}
 		out = append(out, cand)

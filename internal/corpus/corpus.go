@@ -89,16 +89,31 @@ type Entry struct {
 
 // Corpus is a concurrency-safe intern table. Construct with New, or use
 // the process-wide Shared table. The zero value is not usable.
+//
+// The entry table is append-only. Writers (under mu) append into table's
+// spare capacity, growing it geometrically, and publish the longer slice
+// header through entries. An element is written once, before the header
+// that covers it is published, and never again; readers index only within
+// their own snapshot's length, so they need no lock and never observe a
+// write in progress. Interning a new certificate costs amortized O(1),
+// whatever the table's size.
 type Corpus struct {
 	id      uint64
 	mu      sync.RWMutex
 	byHash  map[Digest]Ref
-	entries atomic.Pointer[[]*Entry] // copy-on-write snapshot for lock-free reads
+	table   []*Entry                 // writers' view, guarded by mu
+	entries atomic.Pointer[[]*Entry] // published prefix of table for lock-free reads
 	byPtr   sync.Map                 // *x509.Certificate → Ref, the repeat-observation fast path
 
-	nInterned atomic.Int64
-	nHits     atomic.Int64
-	nBytes    atomic.Int64
+	// sigs memoizes signature checks by (child, parent) ref pair, both
+	// outcomes. See CheckSignature.
+	sigMu sync.Mutex
+	sigs  map[edge]bool
+
+	nInterned  atomic.Int64
+	nHits      atomic.Int64
+	nBytes     atomic.Int64
+	nSigChecks atomic.Int64
 
 	interned *obs.Counter
 	hits     *obs.Counter
@@ -124,9 +139,8 @@ var nextID atomic.Uint64
 
 // New returns an empty corpus.
 func New(opts ...Option) *Corpus {
-	c := &Corpus{id: nextID.Add(1), byHash: make(map[Digest]Ref)}
-	empty := make([]*Entry, 0)
-	c.entries.Store(&empty)
+	c := &Corpus{id: nextID.Add(1), byHash: make(map[Digest]Ref), sigs: make(map[edge]bool)}
+	c.entries.Store(new([]*Entry))
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -194,10 +208,10 @@ func (c *Corpus) InternChain(chain []*x509.Certificate) []Ref {
 
 // InternAll interns a batch of encodings in one table transaction. Digests
 // are checked against the table first, only genuinely new content is
-// parsed, and every new entry lands in a single copy-on-write append — n
-// new certificates cost one entries-slice copy instead of n. This is the
-// bulk path for loaders that materialize a whole deduplicated DER table at
-// once (dataset columnar files, notary snapshots).
+// parsed, and every new entry is appended under one lock acquisition and
+// published once. This is the bulk path for loaders that materialize a
+// whole deduplicated DER table at once (dataset columnar files, notary
+// snapshots).
 func (c *Corpus) InternAll(ders [][]byte) ([]Ref, error) {
 	refs := make([]Ref, len(ders))
 	sums := make([]Digest, len(ders))
@@ -235,38 +249,16 @@ func (c *Corpus) InternAll(ders [][]byte) ([]Ref, error) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	entries := *c.entries.Load()
-	next := make([]*Entry, len(entries), len(entries)+len(miss))
-	copy(next, entries)
 	for k, i := range miss {
-		sum := sums[i]
-		if ref, ok := c.byHash[sum]; ok {
+		if ref, ok := c.byHash[sums[i]]; ok {
 			// Inserted by a concurrent intern or an earlier batch duplicate.
 			refs[i] = ref
 			c.hit()
 			continue
 		}
-		cert := certs[k]
-		e := &Entry{
-			Ref:         Ref(len(next) + 1),
-			DER:         owned[k],
-			Cert:        cert,
-			Identity:    certid.Identity{Subject: certid.SubjectString(cert), Key: certid.KeyIdentity(cert)},
-			SHA1:        certid.SHA1Fingerprint(cert),
-			SHA256:      sum.Hex(),
-			MD5:         certid.MD5Fingerprint(cert),
-			SubjectHash: certid.SubjectHash32(cert),
-			Digest:      sum,
-		}
-		next = append(next, e)
-		c.byHash[sum] = e.Ref
-		refs[i] = e.Ref
-		c.nInterned.Add(1)
-		c.nBytes.Add(int64(len(e.DER)))
-		c.interned.Inc()
-		c.bytesC.Add(int64(len(e.DER)))
+		refs[i] = c.appendLocked(sums[i], owned[k], certs[k])
 	}
-	c.entries.Store(&next)
+	c.publishLocked()
 	return refs, nil
 }
 
@@ -279,9 +271,16 @@ func (c *Corpus) insert(sum Digest, der []byte, cert *x509.Certificate) Ref {
 		c.hit()
 		return ref
 	}
-	entries := *c.entries.Load()
+	ref := c.appendLocked(sum, der, cert)
+	c.publishLocked()
+	return ref
+}
+
+// appendLocked appends a new entry for content absent from the table.
+// Callers hold mu and publish before releasing it.
+func (c *Corpus) appendLocked(sum Digest, der []byte, cert *x509.Certificate) Ref {
 	e := &Entry{
-		Ref:         Ref(len(entries) + 1),
+		Ref:         Ref(len(c.table) + 1),
 		DER:         der,
 		Cert:        cert,
 		Identity:    certid.Identity{Subject: certid.SubjectString(cert), Key: certid.KeyIdentity(cert)},
@@ -291,16 +290,21 @@ func (c *Corpus) insert(sum Digest, der []byte, cert *x509.Certificate) Ref {
 		SubjectHash: certid.SubjectHash32(cert),
 		Digest:      sum,
 	}
-	next := make([]*Entry, len(entries)+1)
-	copy(next, entries)
-	next[len(entries)] = e
-	c.entries.Store(&next)
+	c.table = append(c.table, e)
 	c.byHash[sum] = e.Ref
 	c.nInterned.Add(1)
 	c.nBytes.Add(int64(len(der)))
 	c.interned.Inc()
 	c.bytesC.Add(int64(len(der)))
 	return e.Ref
+}
+
+// publishLocked makes every appended entry visible to lock-free readers.
+// The published header's capacity is clipped to its length, so no reader
+// can append into the spare capacity writers fill. Callers hold mu.
+func (c *Corpus) publishLocked() {
+	snap := c.table[:len(c.table):len(c.table)]
+	c.entries.Store(&snap)
 }
 
 func (c *Corpus) hit() {
@@ -379,11 +383,52 @@ type Stats struct {
 	Hits int64
 	// Bytes is the total DER bytes owned by the table.
 	Bytes int64
+	// SignatureChecks counts signature verifications CheckSignature ran;
+	// checks answered from its memo are not counted.
+	SignatureChecks int64
 }
 
 // Stats returns the cumulative tallies.
 func (c *Corpus) Stats() Stats {
-	return Stats{Interned: c.nInterned.Load(), Hits: c.nHits.Load(), Bytes: c.nBytes.Load()}
+	return Stats{
+		Interned:        c.nInterned.Load(),
+		Hits:            c.nHits.Load(),
+		Bytes:           c.nBytes.Load(),
+		SignatureChecks: c.nSigChecks.Load(),
+	}
+}
+
+// edge is one signature check: child's signature under parent's key.
+type edge struct{ child, parent Ref }
+
+// CheckSignature reports whether parent's key verifies child's signature
+// (x509.Certificate.CheckSignatureFrom, including its checks that parent
+// may sign certificates). The outcome depends only on the two
+// certificates' bytes, and refs are content addresses, so it is memoized
+// here by ref pair rather than in any verifier: every verifier over this
+// corpus, whatever its trusted roots, checks a given edge once. Both
+// outcomes are memoized, so a failed check stays failed. Expiry, trust and
+// path constraints are not part of the outcome; callers judge them. The
+// memo holds one entry per distinct edge checked, for the corpus's
+// lifetime. Invalid refs report false.
+func (c *Corpus) CheckSignature(child, parent Ref) bool {
+	k := edge{child, parent}
+	c.sigMu.Lock()
+	ok, hit := c.sigs[k]
+	c.sigMu.Unlock()
+	if hit {
+		return ok
+	}
+	ce, pe := c.Entry(child), c.Entry(parent)
+	if ce == nil || pe == nil {
+		return false
+	}
+	ok = ce.Cert.CheckSignatureFrom(pe.Cert) == nil
+	c.nSigChecks.Add(1)
+	c.sigMu.Lock()
+	c.sigs[k] = ok
+	c.sigMu.Unlock()
+	return ok
 }
 
 const pemCertType = "CERTIFICATE"

@@ -381,3 +381,42 @@ func TestInternAll(t *testing.T) {
 		t.Fatalf("InternAll(nil) = %v, %v", empty, err)
 	}
 }
+
+// TestCheckSignatureMemo checks both outcomes of a signature check once per
+// (child, parent) pair: a repeated check, passing or failing, is answered
+// from the memo with the same outcome.
+func TestCheckSignatureMemo(t *testing.T) {
+	g := certgen.NewGenerator(112)
+	root, err := g.SelfSignedCA("Memo Root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	impostor, err := g.SelfSignedCA("Memo Root", certgen.WithKeyName("Memo Impostor"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := g.Leaf(root, "memo.example.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := corpus.New()
+	l, r, bad := c.InternCert(leaf.Cert), c.InternCert(root.Cert), c.InternCert(impostor.Cert)
+
+	for round := 0; round < 2; round++ {
+		if !c.CheckSignature(l, r) {
+			t.Fatalf("round %d: leaf does not verify under its issuer", round)
+		}
+		if c.CheckSignature(l, bad) {
+			t.Fatalf("round %d: leaf verifies under an impostor with its issuer's name", round)
+		}
+		if c.CheckSignature(r, l) {
+			t.Fatalf("round %d: a non-CA verifies a signature", round)
+		}
+		if got := c.Stats().SignatureChecks; got != 3 {
+			t.Fatalf("round %d: %d verifications run, want 3", round, got)
+		}
+	}
+	if c.CheckSignature(0, r) || c.CheckSignature(l, 99) {
+		t.Fatal("an invalid ref passed a signature check")
+	}
+}

@@ -441,7 +441,9 @@ type LeafAttribution struct {
 // issuer edge); leaves are independent, so they fan across the parallel
 // engine, answering repeated (pool, leaf) lookups from the chain cache.
 // The verifier is safe for concurrent use: its indexes are read-only
-// after construction and the signature cache is lock-protected.
+// after construction and signature checks are memoized on the corpus, so
+// a later sweep over the same leaves with different stores re-checks no
+// leaf→issuer edge.
 func (n *Notary) AttributeLeaves(stores []*rootstore.Store, leaves []corpus.Ref) []LeafAttribution {
 	union := rootstore.Union("union", stores...)
 	cas := n.observedCARefs()

@@ -86,6 +86,7 @@ type Server struct {
 	mu        sync.Mutex
 	closed    bool
 	wg        sync.WaitGroup
+	conns     map[net.Conn]bool
 	seen      map[string]bool
 	seenOrder []string
 }
@@ -117,7 +118,11 @@ func NewServer(v View, addr string, opts ...Option) (*Server, error) {
 	if observer == nil {
 		observer = obs.New()
 	}
-	s := &Server{view: v, ing: ing, ln: ln, obs: observer, seen: make(map[string]bool)}
+	s := &Server{
+		view: v, ing: ing, ln: ln, obs: observer,
+		conns: make(map[net.Conn]bool),
+		seen:  make(map[string]bool),
+	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -135,7 +140,9 @@ func (s *Server) Observer() *obs.Observer { return s.obs }
 // instead of reaching into server internals.
 func (s *Server) Snapshot() obs.Snapshot { return s.obs.Snapshot() }
 
-// Close stops accepting and waits for in-flight connections to finish.
+// Close stops accepting and waits for in-flight requests to finish.
+// Idle connections are unblocked, so Close does not wait out their read
+// deadlines; a request already being served completes and is answered.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -143,6 +150,10 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	for conn := range s.conns {
+		// Expire pending reads now; handlers drain and exit.
+		_ = conn.SetReadDeadline(time.Unix(1, 0))
+	}
 	s.mu.Unlock()
 	err := s.ln.Close()
 	s.wg.Wait()
@@ -164,17 +175,41 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// armRead sets the idle deadline for the next request, or reports false if
+// the server has closed — the deadline and the closed flag share the mutex
+// so Close cannot re-arm a connection it just expired.
+func (s *Server) armRead(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	return conn.SetReadDeadline(time.Now().Add(2*time.Minute)) == nil
+}
+
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.conns[conn] = true
+	s.mu.Unlock()
 	s.obs.Gauge(KeySensorsActive).Inc()
-	defer s.obs.Gauge(KeySensorsActive).Dec()
+	defer func() {
+		s.obs.Gauge(KeySensorsActive).Dec()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+	}()
 	// Sensors stream for long periods; analysis clients are short-lived.
 	// An idle deadline reaps abandoned connections either way.
 	scanner := bufio.NewScanner(conn)
 	scanner.Buffer(make([]byte, 64<<10), maxLineBytes)
 	enc := json.NewEncoder(conn)
 	for {
-		if err := conn.SetReadDeadline(time.Now().Add(2 * time.Minute)); err != nil {
+		if !s.armRead(conn) {
 			return
 		}
 		if !scanner.Scan() {

@@ -114,20 +114,25 @@ func (e *ErrPinMismatch) Error() string {
 // Check validates a presented chain (leaf first) against host's pins. A
 // host with no pins passes vacuously — pinning is opt-in per app. A pinned
 // host passes if any chain certificate's key matches any pin.
+//
+// The pins are computed before the read lock is taken, and the lock is
+// held through every lookup: a host's pin set is a map that Add and AddPin
+// write in place.
 func (s *Store) Check(host string, chain []*x509.Certificate) error {
+	presented := make([]Pin, len(chain))
+	for i, c := range chain {
+		presented[i] = PinCertificate(c)
+	}
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	set := s.pins[host]
-	s.mu.RUnlock()
 	if len(set) == 0 {
 		return nil
 	}
-	presented := make([]Pin, 0, len(chain))
-	for _, c := range chain {
-		p := PinCertificate(c)
+	for _, p := range presented {
 		if set[p] {
 			return nil
 		}
-		presented = append(presented, p)
 	}
 	return &ErrPinMismatch{Host: host, Presented: presented}
 }
