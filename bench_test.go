@@ -445,6 +445,28 @@ func BenchmarkPopulationGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkWorldIssue measures TLS world generation at 2,000 leaves: drawing
+// each leaf's issuer and observation, then issuing and re-parsing every
+// certificate. The universe is built outside the timer.
+func BenchmarkWorldIssue(b *testing.B) {
+	const leaves = 2000
+	u, err := cauniverse.New(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := tlsnet.NewWorld(tlsnet.Config{Seed: 1, Universe: u, NumLeaves: leaves})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(w.Leaves()) != leaves {
+			b.Fatal("short world")
+		}
+	}
+	b.ReportMetric(float64(leaves*b.N)/b.Elapsed().Seconds(), "leaves/s")
+}
+
 // BenchmarkSubjectHash measures the Android cacerts file-name hash.
 func BenchmarkSubjectHash(b *testing.B) {
 	f := benchFixtures(b)

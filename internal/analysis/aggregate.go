@@ -398,6 +398,12 @@ func (a *table5Agg) Result() []RootedExclusive {
 
 type fig2GroupKey struct{ kind, name string }
 
+// fig2Addition is one firmware-added certificate of a handset's store.
+type fig2Addition struct {
+	id   certid.Identity
+	cert *x509.Certificate
+}
+
 type figure2Agg struct {
 	u           *cauniverse.Universe
 	n           *notary.Notary
@@ -405,6 +411,10 @@ type figure2Agg struct {
 	groupTotal  map[fig2GroupKey]int
 	certCount   map[fig2GroupKey]map[certid.Identity]int
 	certObj     map[certid.Identity]*x509.Certificate
+	// additions memoizes each handset's firmware additions in store
+	// order: a handset's stores are fixed once the population exists, and
+	// it recurs in every one of its sessions.
+	additions map[*population.Handset][]fig2Addition
 }
 
 // NewFigure2Aggregate builds the Figure 2 attribution matrix incrementally
@@ -418,7 +428,29 @@ func NewFigure2Aggregate(u *cauniverse.Universe, n *notary.Notary, minSessions i
 		groupTotal:  map[fig2GroupKey]int{},
 		certCount:   map[fig2GroupKey]map[certid.Identity]int{},
 		certObj:     map[certid.Identity]*x509.Certificate{},
+		additions:   map[*population.Handset][]fig2Addition{},
 	}
+}
+
+// additionsOf returns h's firmware additions: its store's certificates
+// outside both the AOSP store of its version and its user store.
+// User-installed roots (the §5.2 per-device VPN certificates) are not
+// vendor or operator behaviour.
+func (a *figure2Agg) additionsOf(h *population.Handset) []fig2Addition {
+	if adds, ok := a.additions[h]; ok {
+		return adds
+	}
+	aosp := a.u.AOSP(h.Version)
+	user := h.Device.UserStore()
+	var adds []fig2Addition
+	for _, c := range h.Store.Certificates() {
+		if aosp.Contains(c) || user.Contains(c) {
+			continue
+		}
+		adds = append(adds, fig2Addition{corpus.IdentityOf(c), c})
+	}
+	a.additions[h] = adds
+	return adds
 }
 
 func (a *figure2Agg) Add(b Batch) {
@@ -430,8 +462,7 @@ func (a *figure2Agg) Add(b Batch) {
 		if h.ExtraCount == 0 || h.Rooted {
 			continue
 		}
-		aosp := a.u.AOSP(h.Version)
-		user := h.Device.UserStore()
+		adds := a.additionsOf(h)
 		groups := []fig2GroupKey{
 			{"manufacturer", h.Manufacturer + " " + h.Version},
 			{"operator", h.Operator + "(" + h.Country + ")"},
@@ -441,17 +472,12 @@ func (a *figure2Agg) Add(b Batch) {
 			if a.certCount[g] == nil {
 				a.certCount[g] = map[certid.Identity]int{}
 			}
-			for _, c := range h.Store.Certificates() {
-				// Attribute firmware additions only: user-installed
-				// roots (the §5.2 per-device VPN certificates) are not
-				// vendor or operator behaviour.
-				if aosp.Contains(c) || user.Contains(c) {
-					continue
-				}
-				id := corpus.IdentityOf(c)
-				a.certCount[g][id]++
-				a.certObj[id] = c
+			for _, ad := range adds {
+				a.certCount[g][ad.id]++
 			}
+		}
+		for _, ad := range adds {
+			a.certObj[ad.id] = ad.cert
 		}
 	}
 }

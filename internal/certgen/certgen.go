@@ -1,7 +1,9 @@
 // Package certgen is the X.509 generation substrate for the reproduction.
 // It issues real, verifiable certificates — self-signed roots, intermediates,
-// and leaves — with deterministic keys and serials so the whole CA universe
-// is a pure function of a seed.
+// and leaves — with deterministic keys and serials, so every certificate's
+// to-be-signed content (subject, key, serial, validity, extensions) is a
+// pure function of a seed. ECDSA signature bytes are not: the standard
+// library hedges them with its own randomness.
 //
 // All validity periods are anchored at a fixed epoch (the paper's measurement
 // window, November 2013) rather than the wall clock, so chain validation
@@ -9,6 +11,7 @@
 package certgen
 
 import (
+	"context"
 	"crypto"
 	"crypto/ecdsa"
 	"crypto/elliptic"
@@ -21,6 +24,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"tangledmass/internal/parallel"
 )
 
 // Epoch is the fixed reference instant for all validity decisions: the start
@@ -36,10 +41,11 @@ type Issued struct {
 }
 
 // Generator deterministically issues certificates. The zero value is not
-// usable; construct with NewGenerator.
+// usable; construct with NewGenerator. It is safe for concurrent use: mu
+// guards the serial counter and the key cache, and signing runs outside it.
 type Generator struct {
-	mu     sync.Mutex
 	seed   int64
+	mu     sync.Mutex
 	serial int64
 	keys   map[string]crypto.Signer
 }
@@ -281,15 +287,28 @@ func subjectName(cn string, o options) pkix.Name {
 	}
 }
 
-// issue creates and parses one certificate. parent == nil means self-signed.
-func (g *Generator) issue(cn string, parent *Issued, o options) (*Issued, error) {
+// pending is one certificate whose generator state — key, serial and
+// template — is fixed, waiting to be signed.
+type pending struct {
+	cn        string
+	tmpl      *x509.Certificate
+	parent    *x509.Certificate
+	key       crypto.Signer
+	signerKey crypto.Signer
+	rand      io.Reader
+}
+
+// prepareLocked resolves one certificate: key lookup or derivation, the
+// next serial and the template. parent == nil means self-signed. Callers
+// hold g.mu.
+func (g *Generator) prepareLocked(cn string, parent *Issued, o options) (pending, error) {
 	keyName := o.keyName
 	if keyName == "" {
 		keyName = cn
 	}
 	key, err := g.keyFor(keyName, o.rsaBits)
 	if err != nil {
-		return nil, err
+		return pending{}, err
 	}
 	tmpl := &x509.Certificate{
 		SerialNumber:          g.nextSerial(),
@@ -314,28 +333,45 @@ func (g *Generator) issue(cn string, parent *Issued, o options) (*Issued, error)
 		tmpl.DNSNames = o.dnsNames
 		tmpl.IPAddresses = o.ipAddresses
 	}
-	parentCert := tmpl
-	signerKey := key
+	p := pending{cn: cn, tmpl: tmpl, parent: tmpl, key: key, signerKey: key, rand: newDRBG(g.seed, "sig/"+cn)}
 	if parent != nil {
-		parentCert = parent.Cert
-		signerKey = parent.Key
+		p.parent, p.signerKey = parent.Cert, parent.Key
 	}
-	der, err := x509.CreateCertificate(newDRBG(g.seed, "sig/"+cn), tmpl, parentCert, key.Public(), signerKey)
+	return p, nil
+}
+
+// sign creates the certificate — CreateCertificate also verifies the
+// signature it just made — and re-parses the DER. It touches no generator
+// state, so it runs without g.mu: every pending owns its signing stream,
+// and the keys certgen derives (ECDSA, and RSA with precomputed values)
+// are safe for concurrent Sign calls.
+func (p pending) sign() (*Issued, error) {
+	der, err := x509.CreateCertificate(p.rand, p.tmpl, p.parent, p.key.Public(), p.signerKey)
 	if err != nil {
-		return nil, fmt.Errorf("certgen: creating certificate %q: %w", cn, err)
+		return nil, fmt.Errorf("certgen: creating certificate %q: %w", p.cn, err)
 	}
 	cert, err := x509.ParseCertificate(der)
 	if err != nil {
-		return nil, fmt.Errorf("certgen: re-parsing certificate %q: %w", cn, err)
+		return nil, fmt.Errorf("certgen: re-parsing certificate %q: %w", p.cn, err)
 	}
-	return &Issued{Cert: cert, Key: key}, nil
+	return &Issued{Cert: cert, Key: p.key}, nil
+}
+
+// issue prepares one certificate under g.mu and signs it after releasing
+// the lock.
+func (g *Generator) issue(cn string, parent *Issued, o options) (*Issued, error) {
+	g.mu.Lock()
+	p, err := g.prepareLocked(cn, parent, o)
+	g.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return p.sign()
 }
 
 // SelfSignedCA issues a self-signed root CA certificate with the given
 // common name.
 func (g *Generator) SelfSignedCA(cn string, opts ...Option) (*Issued, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	o := applyOptions(opts)
 	o.isCA = true
 	return g.issue(cn, nil, o)
@@ -343,24 +379,57 @@ func (g *Generator) SelfSignedCA(cn string, opts ...Option) (*Issued, error) {
 
 // Intermediate issues an intermediate CA certificate signed by parent.
 func (g *Generator) Intermediate(parent *Issued, cn string, opts ...Option) (*Issued, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	o := applyOptions(opts)
 	o.isCA = true
 	return g.issue(cn, parent, o)
 }
 
-// Leaf issues an end-entity certificate signed by parent. If no DNS names
-// are supplied, cn is used as the sole SAN.
-func (g *Generator) Leaf(parent *Issued, cn string, opts ...Option) (*Issued, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+// leafOptions resolves the options of an end-entity certificate. If no DNS
+// names or IP addresses are supplied, cn is used as the sole SAN.
+func leafOptions(cn string, opts []Option) options {
 	o := applyOptions(opts)
 	o.isCA = false
 	if len(o.dnsNames) == 0 && len(o.ipAddresses) == 0 {
 		o.dnsNames = []string{cn}
 	}
-	return g.issue(cn, parent, o)
+	return o
+}
+
+// Leaf issues an end-entity certificate signed by parent. If no DNS names
+// are supplied, cn is used as the sole SAN.
+func (g *Generator) Leaf(parent *Issued, cn string, opts ...Option) (*Issued, error) {
+	return g.issue(cn, parent, leafOptions(cn, opts))
+}
+
+// LeafRequest holds the arguments of one Leaf call, for Leaves.
+type LeafRequest struct {
+	Parent *Issued
+	CN     string
+	Opts   []Option
+}
+
+// Leaves issues one end-entity certificate per request and returns them in
+// request order. It prepares every request, in order, under one
+// acquisition of g.mu, so it assigns the same keys and serials as that
+// many Leaf calls would; it then signs the batch in parallel. If any
+// request fails, Leaves returns the error of the lowest-indexed failure and
+// no certificates; serials drawn before the failure stay consumed, as
+// after a failed Leaf.
+func (g *Generator) Leaves(reqs []LeafRequest) ([]*Issued, error) {
+	ps := make([]pending, len(reqs))
+	g.mu.Lock()
+	for i, r := range reqs {
+		p, err := g.prepareLocked(r.CN, r.Parent, leafOptions(r.CN, r.Opts))
+		if err != nil {
+			g.mu.Unlock()
+			return nil, err
+		}
+		ps[i] = p
+	}
+	g.mu.Unlock()
+	return parallel.Map(context.Background(), len(ps), func(_ context.Context, i int) (*Issued, error) {
+		return ps[i].sign()
+	})
 }
 
 // Reissue produces a certificate with the same subject and key as orig but a
@@ -369,8 +438,6 @@ func (g *Generator) Leaf(parent *Issued, cn string, opts ...Option) (*Issued, er
 // the paper's identity — exactly the "only the expiration date changed" case
 // described in §4.2.
 func (g *Generator) Reissue(orig *Issued, opts ...Option) (*Issued, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	o := applyOptions(opts)
 	o.isCA = orig.Cert.IsCA
 	o.keyName = orig.Cert.Subject.CommonName

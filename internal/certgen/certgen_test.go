@@ -4,6 +4,9 @@ import (
 	"crypto/ecdsa"
 	"crypto/rsa"
 	"crypto/x509"
+	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -273,5 +276,143 @@ func TestEpochIsFixed(t *testing.T) {
 	want := time.Date(2013, time.November, 1, 0, 0, 0, 0, time.UTC)
 	if !Epoch.Equal(want) {
 		t.Errorf("Epoch = %v, want %v", Epoch, want)
+	}
+}
+
+// leafBatch issues the CA fixtures on g and returns requests mixing ECDSA
+// and RSA parents, SAN shapes, validities and key names.
+func leafBatch(t *testing.T, g *Generator) []LeafRequest {
+	t.Helper()
+	root, err := g.SelfSignedCA("Batch Root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inter, err := g.Intermediate(root, "Batch Intermediate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsaRoot, err := g.SelfSignedCA("Batch RSA Root", WithRSA(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parents := []*Issued{root, inter, rsaRoot}
+	var reqs []LeafRequest
+	for i := 0; i < 24; i++ {
+		r := LeafRequest{Parent: parents[i%len(parents)], CN: fmt.Sprintf("batch%02d.example.com", i)}
+		switch i % 4 {
+		case 1:
+			r.Opts = []Option{WithKeyName("batch-shared-key"), WithOrganization("Server Operator")}
+		case 2:
+			r.Opts = []Option{WithValidity(Epoch.AddDate(-3, 0, 0), Epoch.AddDate(-1, 0, 0))}
+		case 3:
+			r.Opts = []Option{WithIPAddresses(net.IPv4(10, 0, 0, byte(i))), WithDNSNames("alt.example.com")}
+		}
+		reqs = append(reqs, r)
+	}
+	return reqs
+}
+
+func TestLeavesMatchesSequentialLeaf(t *testing.T) {
+	batchGen, seqGen := NewGenerator(11), NewGenerator(11)
+	batchReqs, seqReqs := leafBatch(t, batchGen), leafBatch(t, seqGen)
+	batch, err := batchGen.Leaves(batchReqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != len(batchReqs) {
+		t.Fatalf("Leaves returned %d certificates for %d requests", len(batch), len(batchReqs))
+	}
+	for i, r := range seqReqs {
+		seq, err := seqGen.Leaf(r.Parent, r.CN, r.Opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := batch[i]
+		// The TBS carries everything the generator decides — serial, key,
+		// subject, validity, SANs, issuer; only the signature may differ.
+		if string(got.Cert.RawTBSCertificate) != string(seq.Cert.RawTBSCertificate) {
+			t.Errorf("request %d (%s): batch TBS differs from sequential Leaf", i, r.CN)
+		}
+		if got.Cert.Subject.CommonName != batchReqs[i].CN {
+			t.Errorf("result %d is %q, want request order (%q)", i, got.Cert.Subject.CommonName, batchReqs[i].CN)
+		}
+		if err := got.Cert.CheckSignatureFrom(batchReqs[i].Parent.Cert); err != nil {
+			t.Errorf("request %d (%s): signature does not verify under its parent: %v", i, r.CN, err)
+		}
+	}
+}
+
+func TestLeavesInvalidRequest(t *testing.T) {
+	g := NewGenerator(1)
+	root, err := g.SelfSignedCA("Invalid Batch Root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []LeafRequest{
+		{Parent: root, CN: "ok.example.com"},
+		{Parent: root, CN: "tiny-key.example.com", Opts: []Option{WithRSA(8)}},
+		{Parent: root, CN: "after.example.com"},
+	}
+	got, err := g.Leaves(reqs)
+	if err == nil {
+		t.Fatal("a request with an 8-bit RSA key should fail the batch")
+	}
+	if got != nil {
+		t.Errorf("failed batch returned %d certificates, want none", len(got))
+	}
+}
+
+func TestConcurrentIssuanceDistinctSerials(t *testing.T) {
+	g := NewGenerator(3)
+	root, err := g.SelfSignedCA("Concurrent Root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, perWorker = 6, 8
+	one := func(iss *Issued, err error) ([]*Issued, error) { return []*Issued{iss}, err }
+	results := make([][]*Issued, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var out []*Issued
+			for i := 0; i < perWorker; i++ {
+				cn := fmt.Sprintf("w%d-%d.example.com", w, i)
+				var (
+					iss []*Issued
+					err error
+				)
+				switch w % 3 {
+				case 0:
+					iss, err = one(g.Leaf(root, cn))
+				case 1:
+					iss, err = g.Leaves([]LeafRequest{{Parent: root, CN: cn}, {Parent: root, CN: "b-" + cn}})
+				default:
+					iss, err = one(g.SelfSignedCA(cn))
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				out = append(out, iss...)
+			}
+			results[w] = out
+		}(w)
+	}
+	wg.Wait()
+	seen := map[string]string{root.Cert.SerialNumber.String(): "root"}
+	for _, out := range results {
+		for _, iss := range out {
+			serial := iss.Cert.SerialNumber.String()
+			if prev, dup := seen[serial]; dup {
+				t.Errorf("serial %s issued to both %s and %s", serial, prev, iss.Cert.Subject.CommonName)
+			}
+			seen[serial] = iss.Cert.Subject.CommonName
+		}
+	}
+	// Per round of three workers: one Leaf, a two-leaf batch, one root.
+	if want := 1 + perWorker*(workers/3)*(1+2+1); len(seen) != want {
+		t.Errorf("distinct serials = %d, want %d", len(seen), want)
 	}
 }

@@ -1,11 +1,14 @@
 package collect
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/certgen"
@@ -340,5 +343,41 @@ func TestSummaryCloneIsolated(t *testing.T) {
 	sum.ByManufacturer["EVIL"] = 99
 	if srv.Summary().ByManufacturer["EVIL"] != 0 {
 		t.Error("mutating a returned summary affected the server")
+	}
+}
+
+func TestBlankLineSkipped(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("\n{\"op\":\"summary\"}\n")); err != nil {
+		t.Fatal(err)
+	}
+	// One request, one response: a reply to the blank line would arrive
+	// first and leave every later response on the connection a request late.
+	r := bufio.NewReader(conn)
+	line, err := r.ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp response
+	if err := json.Unmarshal(line, &resp); err != nil || !resp.OK || resp.Summary == nil {
+		t.Fatalf("first response = %q (%v), want the summary", line, err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if extra, err := r.ReadBytes('\n'); err == nil {
+		t.Errorf("unexpected second response %q", extra)
+	}
+	if got := srv.Snapshot().Counters[KeyBadRequest]; got != 0 {
+		t.Errorf("%s = %d, want 0", KeyBadRequest, got)
 	}
 }

@@ -177,9 +177,13 @@ func (s *Server) handle(conn net.Conn) {
 		if !scanner.Scan() {
 			return
 		}
+		line := scanner.Bytes()
+		if len(line) == 0 {
+			continue
+		}
 		var req request
 		var resp response
-		if err := json.Unmarshal(scanner.Bytes(), &req); err != nil {
+		if err := json.Unmarshal(line, &req); err != nil {
 			s.obs.Counter(KeyBadRequest).Inc()
 			resp = response{Error: "bad request: " + err.Error()}
 		} else {

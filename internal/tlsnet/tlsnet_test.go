@@ -2,14 +2,19 @@ package tlsnet
 
 import (
 	"context"
+	"crypto/sha256"
 	"crypto/tls"
 	"crypto/x509"
+	"encoding/hex"
+	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/certgen"
 	"tangledmass/internal/chain"
 )
@@ -266,5 +271,49 @@ func TestLeafObservationTimes(t *testing.T) {
 	}
 	if len(months) < 6 {
 		t.Errorf("observations span %d months, want 6", len(months))
+	}
+}
+
+// worldDigest hashes what the analyses read of a world, leaf by leaf in
+// order: every chain member's to-be-signed bytes, then the observation
+// metadata. Full DER would not do: ECDSA signature bytes differ from one
+// process to the next.
+func worldDigest(w *World) string {
+	h := sha256.New()
+	for _, l := range w.Leaves() {
+		for _, c := range l.Chain {
+			h.Write(c.RawTBSCertificate)
+		}
+		fmt.Fprintf(h, "|%d|%v|%d|%s\n", l.Port, l.Expired, l.SeenAt.Unix(), l.RootName)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestWorldContentPinned pins the world's content per seed, signed on one
+// core and on all of them: parallel issuance must not change a serial, a
+// key, a chain or an observation.
+func TestWorldContentPinned(t *testing.T) {
+	want := map[int64]string{
+		1: "72ffe2964dc5aeea85a476ec47bcc298db9b1e763c7250f1c90728304b623965",
+		7: "d6fcce0b73bab5daec70b0bf8ab3b111b2e65326a44d5046a395a8b6ac170ba3",
+	}
+	for _, seed := range []int64{1, 7} {
+		for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+			// A fresh universe each time: a world continues its universe
+			// generator's serial counter.
+			u, err := cauniverse.New(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := runtime.GOMAXPROCS(procs)
+			w, err := NewWorld(Config{Seed: seed, Universe: u, NumLeaves: 2000})
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := worldDigest(w); got != want[seed] {
+				t.Errorf("seed %d, GOMAXPROCS %d: world digest %s, want %s", seed, procs, got, want[seed])
+			}
+		}
 	}
 }

@@ -138,28 +138,36 @@ func NewWorld(cfg Config) (*World, error) {
 		w.intermediates[r.Name] = inter
 	}
 
-	w.leaves = make([]Leaf, 0, cfg.NumLeaves)
-	for i := 0; i < cfg.NumLeaves; i++ {
-		domain := fmt.Sprintf("host%06d.example.net", i)
+	// Draw each leaf's issuer, expiry, port and sighting from src, leaf by
+	// leaf, then issue every leaf in one batch so signing spreads over all
+	// cores; issuance draws nothing from src. Chain[0], the leaf itself, is
+	// filled in from the batch.
+	pw := make([]float64, len(ports))
+	for j, p := range ports {
+		pw[j] = p.weight
+	}
+	w.leaves = make([]Leaf, cfg.NumLeaves)
+	reqs := make([]certgen.LeafRequest, cfg.NumLeaves)
+	for i := range reqs {
 		var (
 			issuer   *certgen.Issued
-			chainCAs []*x509.Certificate
+			chain    []*x509.Certificate
 			rootName string
 		)
 		if src.Float64() < cfg.InternetShare {
 			ca := w.internetRoots[src.Intn(len(w.internetRoots))]
 			issuer = ca
-			chainCAs = []*x509.Certificate{ca.Cert}
+			chain = []*x509.Certificate{nil, ca.Cert}
 			rootName = ca.Cert.Subject.CommonName
 		} else {
 			r := issuing[zipf.Sample(src)]
 			rootName = r.Name
 			if inter, ok := w.intermediates[r.Name]; ok {
 				issuer = inter
-				chainCAs = []*x509.Certificate{inter.Cert, r.Issued.Cert}
+				chain = []*x509.Certificate{nil, inter.Cert, r.Issued.Cert}
 			} else {
 				issuer = r.Issued
-				chainCAs = []*x509.Certificate{r.Issued.Cert}
+				chain = []*x509.Certificate{nil, r.Issued.Cert}
 			}
 		}
 		opts := []certgen.Option{
@@ -174,22 +182,21 @@ func NewWorld(cfg Config) (*World, error) {
 			opts = append(opts, certgen.WithValidity(
 				certgen.Epoch.AddDate(-1, 0, 0), certgen.Epoch.AddDate(2, 0, 0)))
 		}
-		leafCert, err := gen.Leaf(issuer, domain, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("tlsnet: issuing leaf for %s: %w", domain, err)
-		}
-		chain := append([]*x509.Certificate{leafCert.Cert}, chainCAs...)
-		pw := make([]float64, len(ports))
-		for j, p := range ports {
-			pw[j] = p.weight
-		}
-		w.leaves = append(w.leaves, Leaf{
+		reqs[i] = certgen.LeafRequest{Parent: issuer, CN: fmt.Sprintf("host%06d.example.net", i), Opts: opts}
+		w.leaves[i] = Leaf{
 			Chain:    chain,
 			Port:     ports[src.PickWeighted(pw)].port,
 			Expired:  expired,
 			SeenAt:   certgen.Epoch.Add(time.Duration(src.Int64n(181*24)) * time.Hour),
 			RootName: rootName,
-		})
+		}
+	}
+	issued, err := gen.Leaves(reqs)
+	if err != nil {
+		return nil, fmt.Errorf("tlsnet: issuing leaves: %w", err)
+	}
+	for i, leaf := range issued {
+		w.leaves[i].Chain[0] = leaf.Cert
 	}
 	return w, nil
 }

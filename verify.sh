@@ -13,6 +13,11 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+# perfbench/ is its own module (it builds against this checkout through a
+# replace directive), so the root's ./... never compiles it.
+echo "==> perfbench: vet + test the benchmark module"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "==> tangledlint ./..."
 go run ./cmd/tangledlint -baseline lint-baseline.txt ./...
 
