@@ -54,10 +54,11 @@ dataset-smoke:
 bench:
 	BENCH_BASELINE=$(BENCH_BASELINE) ./scripts/bench.sh
 
-# Compare the Table/Figure benchmarks against the committed serial baseline,
-# failing on a >25% ns/op regression.
+# Compare the Table/Figure benchmarks against the committed serial baseline
+# (recorded at GOMAXPROCS=1, hence -cpu 1), failing on a >25% ns/op
+# regression.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'Table|Figure' -benchmem -benchtime 3x . | \
+	$(GO) test -run '^$$' -bench 'Table|Figure' -benchmem -benchtime 3x -cpu 1 . | \
 		$(GO) run ./cmd/benchjson gate -baseline $(BENCH_BASELINE) -match 'Table|Figure' -tolerance 0.25 -alloc-tolerance 0.25
 
 # The SLO gate: a bounded loadgen burst against a sharded in-process

@@ -181,14 +181,14 @@ func (a *figure1Agg) Result() []ScatterPoint {
 type headlinesAgg struct {
 	sessions, handsets                           int
 	models                                       map[string]bool
-	roots                                        map[certid.Identity]bool
+	roots                                        rootstore.IdentitySet
 	extended, old, oldOver40, rooted, rootedExcl int
 	intercepted, missing                         int
 }
 
 // NewHeadlinesAggregate derives the §5/§6 headline numbers incrementally.
 func NewHeadlinesAggregate() Aggregate[Batch, Headlines] {
-	return &headlinesAgg{models: map[string]bool{}, roots: map[certid.Identity]bool{}}
+	return &headlinesAgg{models: map[string]bool{}}
 }
 
 func (a *headlinesAgg) Add(b Batch) {
@@ -197,9 +197,7 @@ func (a *headlinesAgg) Add(b Batch) {
 		if h.MissingCount > 0 {
 			a.missing++
 		}
-		for _, id := range h.Store.Identities() {
-			a.roots[id] = true
-		}
+		a.roots.AddStore(h.Store)
 	}
 	for _, s := range b.Sessions {
 		a.sessions++
@@ -233,9 +231,7 @@ func (a *headlinesAgg) Merge(other Aggregate[Batch, Headlines]) {
 	for m := range o.models {
 		a.models[m] = true
 	}
-	for id := range o.roots {
-		a.roots[id] = true
-	}
+	a.roots.Merge(&o.roots)
 	a.extended += o.extended
 	a.old += o.old
 	a.oldOver40 += o.oldOver40
@@ -250,7 +246,7 @@ func (a *headlinesAgg) Result() Headlines {
 		TotalSessions:       a.sessions,
 		Handsets:            a.handsets,
 		Models:              len(a.models),
-		UniqueRoots:         len(a.roots),
+		UniqueRoots:         a.roots.Len(),
 		MissingHandsets:     a.missing,
 		InterceptedSessions: a.intercepted,
 	}
@@ -302,16 +298,28 @@ func (a *monthsAgg) Result() []MonthCount {
 	return out
 }
 
+// rootKey names one root identity by its handle in the corpus holding it.
+// Per-root tallies are keyed by it, so counting hashes integers. A fleet's
+// stores share one corpus; Results fold keys of different corpora that
+// name one identity.
+type rootKey struct {
+	c *corpus.Corpus
+	h corpus.IdentityRef
+}
+
+func keyOf(c *corpus.Corpus, ref corpus.Ref) rootKey { return rootKey{c, c.IdentityRefOf(ref)} }
+
+func (k rootKey) identity() certid.Identity { return k.c.IdentityEntry(k.h).Identity }
+
 type rootTally struct {
 	rooted, nonRooted int
-	subject           string
+	cn                string
 }
 
 type table5Agg struct {
 	u      *cauniverse.Universe
 	aosp44 *rootstore.Store
-	counts map[certid.Identity]*rootTally
-	cn     map[certid.Identity]string
+	counts map[rootKey]*rootTally
 }
 
 // NewTable5Aggregate detects certificates appearing exclusively on rooted
@@ -320,8 +328,7 @@ func NewTable5Aggregate(u *cauniverse.Universe) Aggregate[Batch, []RootedExclusi
 	return &table5Agg{
 		u:      u,
 		aosp44: u.AOSP("4.4"),
-		counts: map[certid.Identity]*rootTally{},
-		cn:     map[certid.Identity]string{},
+		counts: map[rootKey]*rootTally{},
 	}
 }
 
@@ -331,17 +338,16 @@ func (a *table5Agg) Add(b Batch) {
 	// deterministic because batches Add in fleet order and Merge keeps the
 	// earlier aggregate's sighting.
 	for _, h := range b.Handsets {
-		for _, id := range h.Store.Identities() {
-			if a.aosp44.ContainsIdentity(id) {
+		sc := h.Store.Corpus()
+		for _, ref := range h.Store.Refs() {
+			if a.aosp44.ContainsRef(sc, ref) {
 				continue
 			}
-			t := a.counts[id]
+			k := keyOf(sc, ref)
+			t := a.counts[k]
 			if t == nil {
-				t = &rootTally{subject: id.Subject}
-				a.counts[id] = t
-				if c := h.Store.Get(id); c != nil {
-					a.cn[id] = c.Subject.CommonName
-				}
+				t = &rootTally{cn: sc.Cert(ref).Subject.CommonName}
+				a.counts[k] = t
 			}
 			if h.Rooted {
 				t.rooted++
@@ -354,18 +360,15 @@ func (a *table5Agg) Add(b Batch) {
 
 func (a *table5Agg) Merge(other Aggregate[Batch, []RootedExclusive]) {
 	o := other.(*table5Agg)
-	for id, t := range o.counts {
-		if have := a.counts[id]; have != nil {
+	for k, t := range o.counts {
+		if have := a.counts[k]; have != nil {
 			have.rooted += t.rooted
 			have.nonRooted += t.nonRooted
 			continue
 		}
-		a.counts[id] = t
 		// The CN travels with the identity's creating batch only: later
 		// batches never override an earlier first sighting.
-		if name, ok := o.cn[id]; ok {
-			a.cn[id] = name
-		}
+		a.counts[k] = t
 	}
 }
 
@@ -374,12 +377,23 @@ func (a *table5Agg) Result() []RootedExclusive {
 	for _, r := range a.u.Roots() {
 		nameByID[corpus.IdentityOf(r.Issued.Cert)] = r.Name
 	}
+	// A subject's CN is part of its identity, so folding keys never
+	// disagrees on it.
+	byID := map[certid.Identity]rootTally{}
+	for k, t := range a.counts {
+		id := k.identity()
+		sum := byID[id]
+		sum.rooted += t.rooted
+		sum.nonRooted += t.nonRooted
+		sum.cn = t.cn
+		byID[id] = sum
+	}
 	var out []RootedExclusive
-	for id, t := range a.counts {
+	for id, t := range byID {
 		if t.rooted >= 1 && t.nonRooted == 0 {
 			name := nameByID[id]
 			if name == "" {
-				name = a.cn[id]
+				name = t.cn
 			}
 			if name == "" {
 				name = id.Subject
@@ -400,8 +414,14 @@ type fig2GroupKey struct{ kind, name string }
 
 // fig2Addition is one firmware-added certificate of a handset's store.
 type fig2Addition struct {
-	id   certid.Identity
+	key  rootKey
 	cert *x509.Certificate
+}
+
+// fig2Sighting is a certificate instance and the session that carried it.
+type fig2Sighting struct {
+	cert    *x509.Certificate
+	session int
 }
 
 type figure2Agg struct {
@@ -409,8 +429,8 @@ type figure2Agg struct {
 	n           *notary.Notary
 	minSessions int
 	groupTotal  map[fig2GroupKey]int
-	certCount   map[fig2GroupKey]map[certid.Identity]int
-	certObj     map[certid.Identity]*x509.Certificate
+	certCount   map[fig2GroupKey]map[rootKey]int
+	certObj     map[rootKey]fig2Sighting
 	// additions memoizes each handset's firmware additions in store
 	// order: a handset's stores are fixed once the population exists, and
 	// it recurs in every one of its sessions.
@@ -426,8 +446,8 @@ func NewFigure2Aggregate(u *cauniverse.Universe, n *notary.Notary, minSessions i
 		n:           n,
 		minSessions: minSessions,
 		groupTotal:  map[fig2GroupKey]int{},
-		certCount:   map[fig2GroupKey]map[certid.Identity]int{},
-		certObj:     map[certid.Identity]*x509.Certificate{},
+		certCount:   map[fig2GroupKey]map[rootKey]int{},
+		certObj:     map[rootKey]fig2Sighting{},
 		additions:   map[*population.Handset][]fig2Addition{},
 	}
 }
@@ -442,12 +462,13 @@ func (a *figure2Agg) additionsOf(h *population.Handset) []fig2Addition {
 	}
 	aosp := a.u.AOSP(h.Version)
 	user := h.Device.UserStore()
+	sc := h.Store.Corpus()
 	var adds []fig2Addition
-	for _, c := range h.Store.Certificates() {
-		if aosp.Contains(c) || user.Contains(c) {
+	for _, ref := range h.Store.Refs() {
+		if aosp.ContainsRef(sc, ref) || user.ContainsRef(sc, ref) {
 			continue
 		}
-		adds = append(adds, fig2Addition{corpus.IdentityOf(c), c})
+		adds = append(adds, fig2Addition{keyOf(sc, ref), sc.Cert(ref)})
 	}
 	a.additions[h] = adds
 	return adds
@@ -470,14 +491,14 @@ func (a *figure2Agg) Add(b Batch) {
 		for _, g := range groups {
 			a.groupTotal[g]++
 			if a.certCount[g] == nil {
-				a.certCount[g] = map[certid.Identity]int{}
+				a.certCount[g] = map[rootKey]int{}
 			}
 			for _, ad := range adds {
-				a.certCount[g][ad.id]++
+				a.certCount[g][ad.key]++
 			}
 		}
 		for _, ad := range adds {
-			a.certObj[ad.id] = ad.cert
+			a.certObj[ad.key] = fig2Sighting{ad.cert, s.ID}
 		}
 	}
 }
@@ -492,15 +513,15 @@ func (a *figure2Agg) Merge(other Aggregate[Batch, []AttributionCell]) {
 			a.certCount[g] = m
 			continue
 		}
-		for id, n := range m {
-			a.certCount[g][id] += n
+		for k, n := range m {
+			a.certCount[g][k] += n
 		}
 	}
 	// Serial Adds overwrite certObj on every sighting, so the
 	// representative instance is the LAST one in session order: the later
 	// aggregate overrides the earlier one.
-	for id, c := range o.certObj {
-		a.certObj[id] = c
+	for k, sg := range o.certObj {
+		a.certObj[k] = sg
 	}
 }
 
@@ -509,13 +530,27 @@ func (a *figure2Agg) Result() []AttributionCell {
 	for _, r := range a.u.Roots() {
 		nameByID[corpus.IdentityOf(r.Issued.Cert)] = r.Name
 	}
+	// Fold keys by identity: counts add, and the representative instance
+	// is the last sighting in session order.
+	reps := map[certid.Identity]fig2Sighting{}
+	for k, sg := range a.certObj {
+		id := k.identity()
+		if have, ok := reps[id]; !ok || sg.session > have.session {
+			reps[id] = sg
+		}
+	}
 	var cells []AttributionCell
+	counts := map[certid.Identity]int{}
 	for g, total := range a.groupTotal {
 		if total < a.minSessions {
 			continue
 		}
-		for id, count := range a.certCount[g] {
-			cert := a.certObj[id]
+		clear(counts)
+		for k, n := range a.certCount[g] {
+			counts[k.identity()] += n
+		}
+		for id, count := range counts {
+			cert := reps[id].cert
 			name := nameByID[id]
 			if name == "" {
 				name = cert.Subject.CommonName
@@ -545,9 +580,8 @@ func (a *figure2Agg) Result() []AttributionCell {
 }
 
 type validationAgg struct {
-	cats      []Category
-	perRoot   map[certid.Identity]int
-	validated []int
+	cats []Category
+	proj *notary.Projection
 }
 
 // NewValidationAggregate runs the Notary validation projection (Tables 3–4,
@@ -555,53 +589,25 @@ type validationAgg struct {
 // Notary.AttributeLeaves over slices of Notary.UnexpiredLeafRefs. Leaf
 // attribution is commutative, so Merge order cannot change the result.
 func NewValidationAggregate(cats []Category) Aggregate[[]notary.LeafAttribution, []CategoryValidation] {
-	return &validationAgg{
-		cats:      cats,
-		perRoot:   map[certid.Identity]int{},
-		validated: make([]int, len(cats)),
+	stores := make([]*rootstore.Store, len(cats))
+	for i, c := range cats {
+		stores[i] = c.Store
 	}
+	return &validationAgg{cats: cats, proj: notary.NewProjection(stores)}
 }
 
-func (a *validationAgg) Add(attrs []notary.LeafAttribution) {
-	for _, la := range attrs {
-		for _, id := range la.Roots {
-			a.perRoot[id]++
-		}
-		for ci, c := range a.cats {
-			for _, id := range la.Roots {
-				if c.Store.ContainsIdentity(id) {
-					a.validated[ci]++
-					break
-				}
-			}
-		}
-	}
-}
+func (a *validationAgg) Add(attrs []notary.LeafAttribution) { a.proj.Add(attrs) }
 
 func (a *validationAgg) Merge(other Aggregate[[]notary.LeafAttribution, []CategoryValidation]) {
-	o := other.(*validationAgg)
-	for id, n := range o.perRoot {
-		a.perRoot[id] += n
-	}
-	for i, v := range o.validated {
-		a.validated[i] += v
-	}
+	a.proj.Merge(other.(*validationAgg).proj)
 }
 
 func (a *validationAgg) Result() []CategoryValidation {
 	out := make([]CategoryValidation, len(a.cats))
-	for i, c := range a.cats {
-		rep := &notary.StoreReport{
-			Store:     c.Store,
-			Validated: a.validated[i],
-			PerRoot:   make(map[certid.Identity]int, c.Store.Len()),
-		}
-		for _, id := range c.Store.Identities() {
-			rep.PerRoot[id] = a.perRoot[id]
-		}
+	for i, rep := range a.proj.Reports() {
 		out[i] = CategoryValidation{
-			Name:         c.Name,
-			TotalRoots:   c.Store.Len(),
+			Name:         a.cats[i].Name,
+			TotalRoots:   rep.Store.Len(),
 			ZeroFraction: rep.ZeroValidationFraction(),
 			Validated:    rep.Validated,
 			ECDF:         stats.NewECDF(rep.PerRootCounts()),

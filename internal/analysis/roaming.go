@@ -64,8 +64,8 @@ func (e *Engine) RoamingCandidates(p *population.Population) []RoamingCandidate 
 				if h.Rooted {
 					continue
 				}
-				for _, id := range h.Store.Identities() {
-					own, ok := owners[id]
+				for _, ref := range h.Store.Refs() {
+					own, ok := owners[h.Store.Corpus().Identity(ref)]
 					if !ok || own.owner == h.Operator {
 						continue
 					}

@@ -115,5 +115,15 @@ func SubjectHash32(cert *x509.Certificate) uint32 {
 // SubjectHashString returns SubjectHash32 as the 8-hex-digit string used in
 // Android cacerts file names and in the paper's Figure 2 labels.
 func SubjectHashString(cert *x509.Certificate) string {
-	return fmt.Sprintf("%08x", SubjectHash32(cert))
+	return FormatSubjectHash(SubjectHash32(cert))
+}
+
+// FormatSubjectHash renders a SubjectHash32 value as SubjectHashString
+// does, for callers holding the precomputed hash (corpus entries).
+func FormatSubjectHash(h uint32) string {
+	var raw [4]byte
+	var out [8]byte
+	binary.BigEndian.PutUint32(raw[:], h)
+	hex.Encode(out[:], raw[:])
+	return string(out[:])
 }

@@ -1,6 +1,7 @@
 package certid
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -97,6 +98,11 @@ func TestSubjectHashStringFormat(t *testing.T) {
 	for _, c := range s {
 		if !strings.ContainsRune("0123456789abcdef", c) {
 			t.Errorf("hash string %q contains non-hex rune %q", s, c)
+		}
+	}
+	for _, h := range []uint32{0, 1, 0xff, 0xa0b0c0d, 0xdeadbeef, 0xffffffff, SubjectHash32(ca.Cert)} {
+		if got, want := FormatSubjectHash(h), fmt.Sprintf("%08x", h); got != want {
+			t.Errorf("FormatSubjectHash(%#x) = %q, want %q", h, got, want)
 		}
 	}
 }

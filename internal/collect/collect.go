@@ -55,8 +55,13 @@ func FromReport(r *netalyzr.Report) WireReport {
 		Rooted:       r.Rooted,
 		StoreSize:    r.Store.Len(),
 	}
-	for _, c := range r.Store.Certificates() {
-		w.StoreHashes = append(w.StoreHashes, certid.SubjectHashString(c))
+	// Corpus entries carry each member's subject hash precomputed. An
+	// empty store keeps a nil list, which the wire encodes as null.
+	if n := r.Store.Len(); n > 0 {
+		w.StoreHashes = make([]string, 0, n)
+	}
+	for _, ref := range r.Store.Refs() {
+		w.StoreHashes = append(w.StoreHashes, certid.FormatSubjectHash(r.Store.Corpus().Entry(ref).SubjectHash))
 	}
 	for _, p := range r.Probes {
 		wp := WireProbe{

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,8 +14,12 @@ import (
 
 	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/certgen"
+	"tangledmass/internal/certid"
+	"tangledmass/internal/corpus"
 	"tangledmass/internal/device"
 	"tangledmass/internal/netalyzr"
+	"tangledmass/internal/population"
+	"tangledmass/internal/rootstore"
 	"tangledmass/internal/tlsnet"
 )
 
@@ -379,5 +385,41 @@ func TestBlankLineSkipped(t *testing.T) {
 	}
 	if got := srv.Snapshot().Counters[KeyBadRequest]; got != 0 {
 		t.Errorf("%s = %d, want 0", KeyBadRequest, got)
+	}
+}
+
+// TestFromReportStoreHashesMatchRecomputed pins the store_hashes wire list:
+// formatted from the corpus's precomputed subject hashes, it must equal
+// each certificate's subject hash recomputed and formatted "%08x", for
+// every handset of a generated fleet and for a store in a non-shared
+// corpus. An empty store still encodes as null.
+func TestFromReportStoreHashesMatchRecomputed(t *testing.T) {
+	pop, err := population.Generate(population.Config{Seed: 5, SessionScale: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := make([]*rootstore.Store, 0, len(pop.Handsets)+1)
+	for _, h := range pop.Handsets {
+		stores = append(stores, h.Store)
+	}
+	own := rootstore.NewIn("own corpus", corpus.New())
+	own.AddAll(pop.Universe.AOSP("4.1").Certificates())
+	stores = append(stores, own)
+	for _, s := range stores {
+		var want []string
+		for _, c := range s.Certificates() {
+			want = append(want, fmt.Sprintf("%08x", certid.SubjectHash32(c)))
+		}
+		got := FromReport(&netalyzr.Report{Store: s}).StoreHashes
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: store hashes differ from the recomputed ones:\n got %v\nwant %v", s.Name(), got, want)
+		}
+	}
+	body, err := json.Marshal(FromReport(&netalyzr.Report{Store: rootstore.New("empty")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), `"store_hashes":null`) {
+		t.Errorf("empty store encodes as %s, want store_hashes null", body)
 	}
 }

@@ -26,6 +26,17 @@
 // interning in different orders number the same certificates differently.
 // Never order output by Ref — sort by fingerprint or identity, as the
 // deterministic layers do.
+//
+// # Identity handles
+//
+// Certificates that differ in bytes but share a subject and key (a CA
+// re-issuing its root with a new expiry) are one identity in the paper's
+// sense. The corpus numbers distinct identities too: the first certificate
+// interned with an identity is assigned the next IdentityRef, and every
+// later equivalent certificate shares it. An IdentityRef is, like a Ref,
+// dense, process-local and meaningful only in the corpus that assigned it;
+// code comparing across corpora matches on certid.Identity. LookupIdentity
+// maps an identity to its handle without taking a lock.
 package corpus
 
 import (
@@ -35,6 +46,8 @@ import (
 	"encoding/hex"
 	"encoding/pem"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -46,6 +59,12 @@ import (
 // invalid: valid handles start at 1, so a Ref's presence can be tested
 // against zero without an ok-bool.
 type Ref uint32
+
+// IdentityRef is a dense handle to one distinct certificate identity
+// (subject + key) in one corpus, shared by every equivalent certificate.
+// The zero IdentityRef is invalid; valid handles start at 1 and are
+// assigned in the order identities are first interned.
+type IdentityRef uint32
 
 // Digest is the SHA-256 of a certificate's DER encoding — the content
 // address the table is keyed by.
@@ -76,6 +95,9 @@ type Entry struct {
 	Cert *x509.Certificate
 	// Identity is the paper's certificate identity (subject + key).
 	Identity certid.Identity
+	// IdentityRef is the corpus's handle for Identity, shared with every
+	// equivalent entry.
+	IdentityRef IdentityRef
 	// SHA1, SHA256 and MD5 are hex fingerprints of the DER encoding.
 	SHA1   string
 	SHA256 string
@@ -85,6 +107,34 @@ type Entry struct {
 	SubjectHash uint32
 	// Digest is the raw SHA-256 content address.
 	Digest Digest
+
+	identHash uint64 // identHash(Identity): the identity index's probe start
+}
+
+// newEntry computes everything about a certificate that does not depend on
+// the table: its identity and fingerprints. Interning does this before
+// taking the write lock; Ref and IdentityRef are assigned under it.
+func newEntry(sum Digest, der []byte, cert *x509.Certificate) *Entry {
+	id := certid.Identity{Subject: certid.SubjectString(cert), Key: certid.KeyIdentity(cert)}
+	return &Entry{
+		DER:         der,
+		Cert:        cert,
+		Identity:    id,
+		SHA1:        certid.SHA1Fingerprint(cert),
+		SHA256:      sum.Hex(),
+		MD5:         certid.MD5Fingerprint(cert),
+		SubjectHash: certid.SubjectHash32(cert),
+		Digest:      sum,
+		identHash:   identHash(id),
+	}
+}
+
+// identSeed keys the identity index's hash. It only places identities in
+// slots; handle numbering never depends on it.
+var identSeed = maphash.MakeSeed()
+
+func identHash(id certid.Identity) uint64 {
+	return maphash.String(identSeed, id.Subject) ^ bits.RotateLeft64(maphash.String(identSeed, string(id.Key)), 31)
 }
 
 // Corpus is a concurrency-safe intern table. Construct with New, or use
@@ -92,18 +142,28 @@ type Entry struct {
 //
 // The entry table is append-only. Writers (under mu) append into table's
 // spare capacity, growing it geometrically, and publish the longer slice
-// header through entries. An element is written once, before the header
+// header through view. An element is written once, before the header
 // that covers it is published, and never again; readers index only within
 // their own snapshot's length, so they need no lock and never observe a
 // write in progress. Interning a new certificate costs amortized O(1),
 // whatever the table's size.
+//
+// Identity handles follow the same discipline: firsts records, per handle,
+// the Ref of the first entry with that identity, and slots is an
+// open-addressing hash index (linear probing, at most half full) from
+// identity to that Ref. Writers fill empty slots with atomic stores and
+// replace the whole array when it grows; a reader probing a published
+// array skips any slot naming an entry beyond its snapshot, so a lookup
+// never sees an identity before its entry is published.
 type Corpus struct {
-	id      uint64
-	mu      sync.RWMutex
-	byHash  map[Digest]Ref
-	table   []*Entry                 // writers' view, guarded by mu
-	entries atomic.Pointer[[]*Entry] // published prefix of table for lock-free reads
-	byPtr   sync.Map                 // *x509.Certificate → Ref, the repeat-observation fast path
+	id     uint64
+	mu     sync.RWMutex
+	byHash map[Digest]Ref
+	table  []*Entry             // writers' view, guarded by mu
+	firsts []Ref                // writers' view, guarded by mu: firsts[h-1] is the first Ref with handle h
+	slots  []atomic.Uint32      // writers' view, guarded by mu: the identity index
+	view   atomic.Pointer[view] // published prefixes for lock-free reads
+	byPtr  sync.Map             // *x509.Certificate → Ref, the repeat-observation fast path
 
 	// sigs memoizes signature checks by (child, parent) ref pair, both
 	// outcomes. See CheckSignature.
@@ -118,6 +178,15 @@ type Corpus struct {
 	interned *obs.Counter
 	hits     *obs.Counter
 	bytesC   *obs.Counter
+}
+
+// view is one published state of the tables: a prefix of the entry table,
+// the matching prefix of firsts, and the identity index array current at
+// publication.
+type view struct {
+	entries []*Entry
+	firsts  []Ref
+	slots   []atomic.Uint32
 }
 
 // Option configures a Corpus at construction.
@@ -139,8 +208,13 @@ var nextID atomic.Uint64
 
 // New returns an empty corpus.
 func New(opts ...Option) *Corpus {
-	c := &Corpus{id: nextID.Add(1), byHash: make(map[Digest]Ref), sigs: make(map[edge]bool)}
-	c.entries.Store(new([]*Entry))
+	c := &Corpus{
+		id:     nextID.Add(1),
+		byHash: make(map[Digest]Ref),
+		slots:  make([]atomic.Uint32, 16),
+		sigs:   make(map[edge]bool),
+	}
+	c.publishLocked()
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -172,7 +246,7 @@ func (c *Corpus) Intern(der []byte) (Ref, error) {
 	if err != nil {
 		return 0, fmt.Errorf("corpus: parsing certificate: %w", err)
 	}
-	return c.insert(sum, own, cert), nil
+	return c.insert(newEntry(sum, own, cert)), nil
 }
 
 // InternCert returns the handle for an already-parsed certificate. A
@@ -191,7 +265,7 @@ func (c *Corpus) InternCert(cert *x509.Certificate) Ref {
 	if ok {
 		c.hit()
 	} else {
-		ref = c.insert(sum, bytes.Clone(cert.Raw), cert)
+		ref = c.insert(newEntry(sum, bytes.Clone(cert.Raw), cert))
 	}
 	c.byPtr.Store(cert, ref)
 	return ref
@@ -208,10 +282,10 @@ func (c *Corpus) InternChain(chain []*x509.Certificate) []Ref {
 
 // InternAll interns a batch of encodings in one table transaction. Digests
 // are checked against the table first, only genuinely new content is
-// parsed, and every new entry is appended under one lock acquisition and
-// published once. This is the bulk path for loaders that materialize a
-// whole deduplicated DER table at once (dataset columnar files, notary
-// snapshots).
+// parsed and fingerprinted (outside the lock), and every new entry is
+// appended under one lock acquisition and published once. This is the
+// bulk path for loaders that materialize a whole deduplicated DER table at
+// once (dataset columnar files, notary snapshots).
 func (c *Corpus) InternAll(ders [][]byte) ([]Ref, error) {
 	refs := make([]Ref, len(ders))
 	sums := make([]Digest, len(ders))
@@ -234,17 +308,17 @@ func (c *Corpus) InternAll(ders [][]byte) ([]Ref, error) {
 		return refs, nil
 	}
 
-	// Parse the misses outside the lock; duplicate digests within the batch
-	// are resolved under the lock below (the first instance wins).
-	owned := make([][]byte, len(miss))
-	certs := make([]*x509.Certificate, len(miss))
+	// Parse and fingerprint the misses outside the lock; duplicate digests
+	// within the batch are resolved under the lock below (the first
+	// instance wins).
+	fresh := make([]*Entry, len(miss))
 	for k, i := range miss {
-		owned[k] = bytes.Clone(ders[i])
-		cert, err := x509.ParseCertificate(owned[k])
+		own := bytes.Clone(ders[i])
+		cert, err := x509.ParseCertificate(own)
 		if err != nil {
 			return nil, fmt.Errorf("corpus: parsing certificate %d of batch: %w", i, err)
 		}
-		certs[k] = cert
+		fresh[k] = newEntry(sums[i], own, cert)
 	}
 
 	c.mu.Lock()
@@ -256,55 +330,93 @@ func (c *Corpus) InternAll(ders [][]byte) ([]Ref, error) {
 			c.hit()
 			continue
 		}
-		refs[i] = c.appendLocked(sums[i], owned[k], certs[k])
+		refs[i] = c.appendLocked(fresh[k])
 	}
 	c.publishLocked()
 	return refs, nil
 }
 
-// insert adds a new entry under sum, resolving the insert race in favour
-// of the first writer.
-func (c *Corpus) insert(sum Digest, der []byte, cert *x509.Certificate) Ref {
+// insert adds e unless its content is already present, resolving the
+// insert race in favour of the first writer; a losing writer's entry is
+// discarded.
+func (c *Corpus) insert(e *Entry) Ref {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ref, ok := c.byHash[sum]; ok {
+	if ref, ok := c.byHash[e.Digest]; ok {
 		c.hit()
 		return ref
 	}
-	ref := c.appendLocked(sum, der, cert)
+	ref := c.appendLocked(e)
 	c.publishLocked()
 	return ref
 }
 
-// appendLocked appends a new entry for content absent from the table.
-// Callers hold mu and publish before releasing it.
-func (c *Corpus) appendLocked(sum Digest, der []byte, cert *x509.Certificate) Ref {
-	e := &Entry{
-		Ref:         Ref(len(c.table) + 1),
-		DER:         der,
-		Cert:        cert,
-		Identity:    certid.Identity{Subject: certid.SubjectString(cert), Key: certid.KeyIdentity(cert)},
-		SHA1:        certid.SHA1Fingerprint(cert),
-		SHA256:      sum.Hex(),
-		MD5:         certid.MD5Fingerprint(cert),
-		SubjectHash: certid.SubjectHash32(cert),
-		Digest:      sum,
+// appendLocked numbers e, assigns its identity handle (a new one when no
+// earlier entry shares its identity) and appends it. Callers hold mu and
+// publish before releasing it.
+func (c *Corpus) appendLocked(e *Entry) Ref {
+	e.Ref = Ref(len(c.table) + 1)
+	first, slot := findIdentity(c.slots, c.table, e.Identity, e.identHash)
+	if first != nil {
+		e.IdentityRef = first.IdentityRef
+	} else {
+		c.firsts = append(c.firsts, e.Ref)
+		e.IdentityRef = IdentityRef(len(c.firsts))
 	}
 	c.table = append(c.table, e)
-	c.byHash[sum] = e.Ref
+	c.byHash[e.Digest] = e.Ref
+	if first == nil {
+		c.slots[slot].Store(uint32(e.Ref))
+		if 2*len(c.firsts) > len(c.slots) {
+			c.growSlotsLocked()
+		}
+	}
 	c.nInterned.Add(1)
-	c.nBytes.Add(int64(len(der)))
+	c.nBytes.Add(int64(len(e.DER)))
 	c.interned.Inc()
-	c.bytesC.Add(int64(len(der)))
+	c.bytesC.Add(int64(len(e.DER)))
 	return e.Ref
 }
 
-// publishLocked makes every appended entry visible to lock-free readers.
-// The published header's capacity is clipped to its length, so no reader
-// can append into the spare capacity writers fill. Callers hold mu.
+// growSlotsLocked doubles the identity index. Readers holding the old
+// array keep probing it; it is never written again. Callers hold mu.
+func (c *Corpus) growSlotsLocked() {
+	slots := make([]atomic.Uint32, 2*len(c.slots))
+	for _, r := range c.firsts {
+		e := c.table[r-1]
+		_, slot := findIdentity(slots, c.table, e.Identity, e.identHash)
+		slots[slot].Store(uint32(r))
+	}
+	c.slots = slots
+}
+
+// findIdentity probes slots for id. It returns the first entry of table
+// with that identity, or nil and the empty slot where id belongs. Slots
+// naming refs beyond table are skipped: a reader's snapshot does not
+// cover them yet.
+func findIdentity(slots []atomic.Uint32, table []*Entry, id certid.Identity, hash uint64) (*Entry, uint64) {
+	mask := uint64(len(slots) - 1)
+	for i := hash & mask; ; i = (i + 1) & mask {
+		r := slots[i].Load()
+		if r == 0 {
+			return nil, i
+		}
+		if int(r) <= len(table) && table[r-1].Identity == id {
+			return table[r-1], i
+		}
+	}
+}
+
+// publishLocked makes every appended entry and identity handle visible to
+// lock-free readers. The published headers' capacities are clipped to
+// their lengths, so no reader can append into the spare capacity writers
+// fill. Callers hold mu.
 func (c *Corpus) publishLocked() {
-	snap := c.table[:len(c.table):len(c.table)]
-	c.entries.Store(&snap)
+	c.view.Store(&view{
+		entries: c.table[:len(c.table):len(c.table)],
+		firsts:  c.firsts[:len(c.firsts):len(c.firsts)],
+		slots:   c.slots,
+	})
 }
 
 func (c *Corpus) hit() {
@@ -321,11 +433,40 @@ func (c *Corpus) ID() uint64 { return c.id }
 // Entry returns the entry for r, or nil for the zero Ref or a handle from
 // another corpus.
 func (c *Corpus) Entry(r Ref) *Entry {
-	entries := *c.entries.Load()
+	entries := c.view.Load().entries
 	if r == 0 || int(r) > len(entries) {
 		return nil
 	}
 	return entries[r-1]
+}
+
+// IdentityRefOf returns the identity handle of r's certificate (zero for
+// invalid refs).
+func (c *Corpus) IdentityRefOf(r Ref) IdentityRef {
+	if e := c.Entry(r); e != nil {
+		return e.IdentityRef
+	}
+	return 0
+}
+
+// LookupIdentity returns this corpus's handle for id, or zero when no
+// certificate with that identity has been interned. It takes no lock.
+func (c *Corpus) LookupIdentity(id certid.Identity) IdentityRef {
+	v := c.view.Load()
+	if e, _ := findIdentity(v.slots, v.entries, id, identHash(id)); e != nil {
+		return e.IdentityRef
+	}
+	return 0
+}
+
+// IdentityEntry returns the first entry interned with identity handle h,
+// or nil for the zero handle or a handle from another corpus.
+func (c *Corpus) IdentityEntry(h IdentityRef) *Entry {
+	v := c.view.Load()
+	if h == 0 || int(h) > len(v.firsts) {
+		return nil
+	}
+	return v.entries[v.firsts[h-1]-1]
 }
 
 // Cert returns the parsed certificate for r, or nil.
@@ -372,7 +513,7 @@ func (c *Corpus) Certs(refs []Ref) []*x509.Certificate {
 }
 
 // Len returns the number of distinct certificates interned.
-func (c *Corpus) Len() int { return len(*c.entries.Load()) }
+func (c *Corpus) Len() int { return len(c.view.Load().entries) }
 
 // Stats is a point-in-time interning tally.
 type Stats struct {

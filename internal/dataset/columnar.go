@@ -81,18 +81,27 @@ func writeColumnar(ctx context.Context, dir string, p *population.Population, cf
 	n := len(p.Handsets)
 
 	// Gather store memberships as handles in the target corpus, and the
-	// distinct certificate set in first-encounter order.
+	// distinct certificate set in first-encounter order. Firmware
+	// memberships repeat heavily across handsets and a row stores its
+	// members sorted, so each distinct membership (by content key) is
+	// translated and, below, encoded once.
+	type membership struct {
+		c      *corpus.Corpus
+		digest corpus.Digest
+		n      int
+	}
+	members := map[membership][]corpus.Ref{}
 	seen := map[corpus.Ref]bool{}
 	var distinct []corpus.Ref
-	gather := func(s *rootstore.Store) []corpus.Ref {
-		var refs []corpus.Ref
-		if s.Corpus() == cfg.corpus {
-			refs = s.Refs()
-		} else {
-			certs := s.Certificates()
-			refs = make([]corpus.Ref, len(certs))
-			for i, c := range certs {
-				refs[i] = cfg.corpus.InternCert(c)
+	gather := func(s *rootstore.Store) membership {
+		k := membership{s.Corpus(), s.ContentDigest(), s.Len()}
+		if _, ok := members[k]; ok {
+			return k
+		}
+		refs := s.Refs()
+		if s.Corpus() != cfg.corpus {
+			for i, ref := range refs {
+				refs[i] = cfg.corpus.InternCert(s.Corpus().Cert(ref))
 			}
 		}
 		for _, ref := range refs {
@@ -101,16 +110,17 @@ func writeColumnar(ctx context.Context, dir string, p *population.Population, cf
 				distinct = append(distinct, ref)
 			}
 		}
-		return refs
+		members[k] = refs
+		return k
 	}
-	sysRefs := make([][]corpus.Ref, n)
-	usrRefs := make([][]corpus.Ref, n)
+	sysRows := make([]membership, n)
+	usrRows := make([]membership, n)
 	for i, h := range p.Handsets {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("dataset: write cancelled: %w", err)
 		}
-		sysRefs[i] = gather(h.Device.SystemStore())
-		usrRefs[i] = gather(h.Device.UserStore())
+		sysRows[i] = gather(h.Device.SystemStore())
+		usrRows[i] = gather(h.Device.UserStore())
 	}
 
 	// The DER table is sorted by content digest — deterministic regardless
@@ -183,20 +193,27 @@ func writeColumnar(ctx context.Context, dir string, p *population.Population, cf
 
 	// system / user membership columns: per handset the sorted DER-table
 	// indices, delta-encoded (strictly increasing, so every delta >= 1).
-	encodeMembership := func(memberRefs [][]corpus.Ref) []byte {
+	encodeMembership := func(rows []membership) []byte {
 		out := binary.AppendUvarint(nil, uint64(n))
-		for _, refs := range memberRefs {
-			idxs := make([]int, len(refs))
-			for i, ref := range refs {
-				idxs[i] = tableIdx[ref]
+		encoded := map[membership][]byte{}
+		for _, k := range rows {
+			row, ok := encoded[k]
+			if !ok {
+				refs := members[k]
+				idxs := make([]int, len(refs))
+				for i, ref := range refs {
+					idxs[i] = tableIdx[ref]
+				}
+				sort.Ints(idxs)
+				row = binary.AppendUvarint(nil, uint64(len(idxs)))
+				prev := -1
+				for _, v := range idxs {
+					row = binary.AppendUvarint(row, uint64(v-prev))
+					prev = v
+				}
+				encoded[k] = row
 			}
-			sort.Ints(idxs)
-			out = binary.AppendUvarint(out, uint64(len(idxs)))
-			prev := -1
-			for _, v := range idxs {
-				out = binary.AppendUvarint(out, uint64(v-prev))
-				prev = v
-			}
+			out = append(out, row...)
 		}
 		return out
 	}
@@ -245,8 +262,8 @@ func writeColumnar(ctx context.Context, dir string, p *population.Population, cf
 		{"profiles", profiles},
 		{"flags", flags},
 		{"sessions", sessions},
-		{"system", encodeMembership(sysRefs)},
-		{"user", encodeMembership(usrRefs)},
+		{"system", encodeMembership(sysRows)},
+		{"user", encodeMembership(usrRows)},
 		{"apps", apps},
 	}
 
@@ -631,6 +648,10 @@ func decodeColumns(cd *columnarDir) (*columns, error) {
 			return err
 		}
 		dst.start = make([]int, n+1)
+		// Every member costs at least one byte of the section, so its
+		// length bounds the member count: one allocation instead of a
+		// growth series.
+		dst.flat = make([]uint32, 0, len(buf))
 		for i := 0; i < n; i++ {
 			k, err := cb.uvarint()
 			if err != nil {

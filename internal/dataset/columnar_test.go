@@ -53,6 +53,12 @@ func TestColumnarRoundTrip(t *testing.T) {
 		if !rootstore.Equal(a.Store, b.Store) {
 			t.Fatalf("handset %d store differs after round-trip", a.ID)
 		}
+		// Rows are written once per distinct membership; every handset's
+		// system and user rows must still carry its exact member bytes.
+		if a.Device.SystemStore().ContentKey() != b.Device.SystemStore().ContentKey() ||
+			a.Device.UserStore().ContentKey() != b.Device.UserStore().ContentKey() {
+			t.Fatalf("handset %d system or user membership differs after round-trip", a.ID)
+		}
 		if a.AOSPCount != b.AOSPCount || a.ExtraCount != b.ExtraCount || a.MissingCount != b.MissingCount {
 			t.Fatalf("handset %d counts differ", a.ID)
 		}

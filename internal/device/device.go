@@ -56,8 +56,8 @@ type Device struct {
 func New(profile Profile, aospBase *rootstore.Store, firmwareAdditions []*x509.Certificate) *Device {
 	d := &Device{
 		Profile:  profile,
-		system:   aospBase.Clone(fmt.Sprintf("%s %s system", profile.Manufacturer, profile.Model)),
-		user:     rootstore.New(fmt.Sprintf("%s %s user", profile.Manufacturer, profile.Model)),
+		system:   aospBase.Clone(profile.Manufacturer + " " + profile.Model + " system"),
+		user:     rootstore.New(profile.Manufacturer + " " + profile.Model + " user"),
 		disabled: make(map[certid.Identity]bool),
 		channels: make(map[certid.Identity]Channel),
 	}
@@ -73,7 +73,7 @@ func New(profile Profile, aospBase *rootstore.Store, firmwareAdditions []*x509.C
 // installed.
 func Restore(profile Profile, system, user *rootstore.Store, rooted bool) *Device {
 	if user == nil {
-		user = rootstore.NewIn(fmt.Sprintf("%s %s user", profile.Manufacturer, profile.Model), system.Corpus())
+		user = rootstore.NewIn(profile.Manufacturer+" "+profile.Model+" user", system.Corpus())
 	}
 	d := &Device{
 		Profile:  profile,
@@ -87,8 +87,8 @@ func Restore(profile Profile, system, user *rootstore.Store, rooted bool) *Devic
 	// survives a round trip; rooted system-store writes are not
 	// distinguishable from firmware in a snapshot and stay unrecorded
 	// (population.Handset.TamperChannel carries that bit instead).
-	for _, id := range user.Identities() {
-		d.channels[id] = ChannelUser
+	for _, ref := range user.Refs() {
+		d.channels[user.Corpus().Identity(ref)] = ChannelUser
 	}
 	return d
 }
@@ -154,42 +154,32 @@ func (d *Device) Disabled(id certid.Identity) bool { return d.disabled[id] }
 // EffectiveStore returns the trust set apps actually validate against:
 // system plus user certificates, minus disabled entries. The result is a
 // fresh store; mutating it does not affect the device. Membership is
-// copied by handle when the stores share a corpus — no certificate is
+// copied by ref when the stores share a corpus — no certificate is
 // re-interned or re-fingerprinted — preserving the system-then-user
 // insertion order.
 func (d *Device) EffectiveStore() *rootstore.Store {
-	name := fmt.Sprintf("%s %s effective", d.Manufacturer, d.Model)
+	name := d.Manufacturer + " " + d.Model + " effective"
+	var eff *rootstore.Store
+	sources := []*rootstore.Store{d.system, d.user}
 	if len(d.disabled) == 0 {
 		// Nothing is disabled on the vast majority of devices: clone the
 		// system membership wholesale instead of re-inserting it
 		// certificate by certificate.
-		eff := d.system.Clone(name)
-		if d.user.Len() > 0 {
-			if d.user.Corpus() == eff.Corpus() {
-				for _, id := range d.user.Identities() {
-					eff.AddRef(d.user.Ref(id))
-				}
-			} else {
-				for _, c := range d.user.Certificates() {
-					eff.Add(c)
-				}
-			}
-		}
-		return eff
+		eff = d.system.Clone(name)
+		sources = sources[1:]
+	} else {
+		eff = rootstore.NewSized(name, d.system.Corpus(), d.system.Len()+d.user.Len())
 	}
-	eff := rootstore.NewSized(name, d.system.Corpus(), d.system.Len()+d.user.Len())
-	for _, s := range []*rootstore.Store{d.system, d.user} {
-		if s.Corpus() == eff.Corpus() {
-			for _, id := range s.Identities() {
-				if !d.disabled[id] {
-					eff.AddRef(s.Ref(id))
-				}
+	for _, s := range sources {
+		sc := s.Corpus()
+		for _, ref := range s.Refs() {
+			if len(d.disabled) > 0 && d.disabled[sc.Identity(ref)] {
+				continue
 			}
-			continue
-		}
-		for _, c := range s.Certificates() {
-			if !d.disabled[corpus.IdentityOf(c)] {
-				eff.Add(c)
+			if sc == eff.Corpus() {
+				eff.AddRef(ref)
+			} else {
+				eff.Add(sc.Cert(ref))
 			}
 		}
 	}

@@ -6,52 +6,67 @@ import (
 	"strings"
 )
 
-// RefScope enforces the corpus-Ref ownership discipline: a Ref is a dense
-// uint32 handle that is only meaningful inside the corpus that issued it
-// (see internal/corpus). Three violation shapes are flagged:
+// RefScope enforces the corpus handle ownership discipline. The corpus
+// issues two dense uint32 handle types, each only meaningful inside the
+// corpus that issued it (see internal/corpus): Ref, one per interned
+// certificate, and IdentityRef, one per distinct certificate identity.
+// Three violation shapes are flagged for both:
 //
-//   - cross-corpus flow: a Ref produced by one corpus (c1.Intern, or a
-//     module function the facts engine proved returns Refs owned by a
-//     corpus parameter) consumed through a different corpus value
-//     (c2.Cert(r), or a module function proved to consume a Ref against a
-//     corpus parameter). Provenance is tracked within each function and
-//     carried across package boundaries by exported facts.
-//   - serialized Refs: a struct field of type corpus.Ref (or []Ref)
-//     carrying a json/gob tag. Refs are process-local, assigned in
+//   - cross-corpus flow: a handle produced by one corpus (c1.Intern,
+//     c1.LookupIdentity, or a module function the facts engine proved
+//     returns handles owned by a corpus parameter) consumed through a
+//     different corpus value (c2.Cert(r), c2.IdentityEntry(h), or a module
+//     function proved to consume a handle against a corpus parameter).
+//     Provenance is tracked within each function and carried across
+//     package boundaries by exported facts.
+//   - serialized handles: a struct field of a handle type (or a slice of
+//     one) carrying a json/gob tag. Handles are process-local, assigned in
 //     interning order; persisting one stores a number that means nothing
-//     to any other process — persist a fingerprint or a snapshot-local
-//     table index instead (as notary snapshot v2 does).
-//   - ambiguous containers: a map keyed by Ref inside a struct that holds
-//     more than one *corpus.Corpus — the key cannot name which corpus it
-//     belongs to, so nothing stops handles from different tables colliding.
+//     to any other process — persist a fingerprint, an identity or a
+//     snapshot-local table index instead (as notary snapshot v2 does).
+//   - ambiguous containers: a map keyed by a handle inside a struct that
+//     holds more than one *corpus.Corpus — the key cannot name which
+//     corpus it belongs to, so nothing stops handles from different tables
+//     colliding.
 //
 // Package corpus itself is exempt: it is the issuing table, and its
 // internals are the primitive everything else is being held to.
 var RefScope = &Analyzer{
 	Name:   "refscope",
-	Doc:    "flag corpus.Ref values crossing corpus boundaries, serialized Refs, and Ref-keyed maps in multi-corpus structs",
+	Doc:    "flag corpus handles (Ref, IdentityRef) crossing corpus boundaries, serialized handles, and handle-keyed maps in multi-corpus structs",
 	Run:    runRefScope,
 	Export: exportRefScope,
 }
 
-// refProducers are the *corpus.Corpus methods whose Ref results are owned
-// by the receiver.
+// refProducers are the *corpus.Corpus methods whose handle results are
+// owned by the receiver.
 var refProducers = map[string]bool{
-	"Intern":      true,
-	"InternCert":  true,
-	"InternChain": true,
-	"ParsePEM":    true,
+	"Intern":         true,
+	"InternCert":     true,
+	"InternChain":    true,
+	"ParsePEM":       true,
+	"IdentityRefOf":  true,
+	"LookupIdentity": true,
 }
 
-// refConsumers are the *corpus.Corpus methods that interpret a Ref
+// refConsumers are the *corpus.Corpus methods that interpret a handle
 // argument against the receiver.
 var refConsumers = map[string]bool{
-	"Entry":    true,
-	"Cert":     true,
-	"Identity": true,
-	"SHA1":     true,
-	"DER":      true,
-	"Certs":    true,
+	"Entry":         true,
+	"Cert":          true,
+	"Identity":      true,
+	"SHA1":          true,
+	"DER":           true,
+	"Certs":         true,
+	"IdentityRefOf": true,
+	"IdentityEntry": true,
+}
+
+// handleTypes are the corpus handle types the rule polices, with what to
+// persist instead of each.
+var handleTypes = []struct{ name, persist string }{
+	{"Ref", "a fingerprint or a snapshot-local table index"},
+	{"IdentityRef", "the certid.Identity or a snapshot-local table index"},
 }
 
 // refScopeFact is the per-function provenance fact.
@@ -89,16 +104,25 @@ func isCorpusPtr(t types.Type) bool {
 	return ok && namedCorpusType(ptr.Elem(), "Corpus")
 }
 
-// isRefType reports whether t is corpus.Ref or []corpus.Ref.
-func isRefType(t types.Type) bool {
+// handleType returns the index in handleTypes of t's handle type — t is
+// the handle or a slice of it — or -1.
+func handleType(t types.Type) int {
 	if t == nil {
-		return false
+		return -1
 	}
 	if sl, ok := types.Unalias(t).Underlying().(*types.Slice); ok {
-		return namedCorpusType(sl.Elem(), "Ref")
+		t = sl.Elem()
 	}
-	return namedCorpusType(t, "Ref")
+	for i, h := range handleTypes {
+		if namedCorpusType(t, h.name) {
+			return i
+		}
+	}
+	return -1
 }
+
+// isRefType reports whether t is a corpus handle or a slice of one.
+func isRefType(t types.Type) bool { return handleType(t) >= 0 }
 
 // corpusKey names one corpus-valued expression within a function: the root
 // object plus the rendered selector path, so n.c and m.c stay distinct
@@ -337,9 +361,13 @@ func runRefScope(p *Pass) {
 	}
 	for _, df := range p.packageFuncs() {
 		refFlow(p, df, func(at ast.Expr, prod, cons corpusKey) {
+			name := handleTypes[0].name
+			if h := handleType(p.TypeOf(at)); h >= 0 {
+				name = handleTypes[h].name
+			}
 			p.Reportf(at.Pos(),
-				"Ref produced by corpus %s is consumed through corpus %s; Refs are dense handles meaningful only in their owning corpus",
-				prod.path, cons.path)
+				"%s produced by corpus %s is consumed through corpus %s; %ss are dense handles meaningful only in their owning corpus",
+				name, prod.path, cons.path, name)
 		})
 	}
 	for _, file := range p.Pkg.Files {
@@ -358,13 +386,13 @@ func runRefScope(p *Pass) {
 	}
 }
 
-// checkRefStruct applies the two struct-shape checks: serialized Ref
-// fields, and Ref-keyed maps in structs holding more than one corpus.
+// checkRefStruct applies the two struct-shape checks: serialized handle
+// fields, and handle-keyed maps in structs holding more than one corpus.
 func checkRefStruct(p *Pass, name string, st *ast.StructType) {
 	corpora := 0
 	type mapField struct {
-		pos  ast.Expr
-		name string
+		pos    ast.Expr
+		handle string
 	}
 	var refKeyMaps []mapField
 	for _, field := range st.Fields.List {
@@ -375,21 +403,23 @@ func checkRefStruct(p *Pass, name string, st *ast.StructType) {
 		if isCorpusPtr(t) {
 			corpora++
 		}
-		if m, ok := types.Unalias(t).Underlying().(*types.Map); ok && namedCorpusType(m.Key(), "Ref") {
-			refKeyMaps = append(refKeyMaps, mapField{pos: field.Type, name: fieldName(field)})
+		if m, ok := types.Unalias(t).Underlying().(*types.Map); ok {
+			if h := handleType(m.Key()); h >= 0 {
+				refKeyMaps = append(refKeyMaps, mapField{pos: field.Type, handle: handleTypes[h].name})
+			}
 		}
-		if isRefType(t) && field.Tag != nil &&
+		if h := handleType(t); h >= 0 && field.Tag != nil &&
 			(strings.Contains(field.Tag.Value, "json:") || strings.Contains(field.Tag.Value, "gob:")) {
 			p.Reportf(field.Pos(),
-				"corpus.Ref field %s.%s is serialized; Refs are process-local interning handles — persist a fingerprint or a snapshot-local table index instead",
-				name, fieldName(field))
+				"corpus.%s field %s.%s is serialized; %ss are process-local interning handles — persist %s instead",
+				handleTypes[h].name, name, fieldName(field), handleTypes[h].name, handleTypes[h].persist)
 		}
 	}
 	if corpora > 1 {
 		for _, mf := range refKeyMaps {
 			p.Reportf(mf.pos.Pos(),
-				"map keyed by corpus.Ref in struct %s, which holds %d corpora; a bare Ref cannot name its owning corpus — key by (corpus ID, Ref) or split the struct",
-				name, corpora)
+				"map keyed by corpus.%s in struct %s, which holds %d corpora; a bare %s cannot name its owning corpus — key by (corpus ID, %s) or split the struct",
+				mf.handle, name, corpora, mf.handle, mf.handle)
 		}
 	}
 }

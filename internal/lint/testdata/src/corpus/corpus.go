@@ -7,6 +7,10 @@ package corpus
 // meaningful against the corpus that issued it.
 type Ref uint32
 
+// IdentityRef is a dense handle to one distinct identity in one corpus.
+// Like a Ref it is only meaningful against the corpus that issued it.
+type IdentityRef uint32
+
 // Corpus interns DER bytes and hands out Refs.
 type Corpus struct {
 	ders  [][]byte
@@ -46,4 +50,22 @@ func (c *Corpus) DER(r Ref) []byte {
 // Identity renders a stable identity string for r.
 func (c *Corpus) Identity(r Ref) string {
 	return string(c.ders[r])
+}
+
+// IdentityRefOf returns the identity handle of r.
+func (c *Corpus) IdentityRefOf(r Ref) IdentityRef {
+	return IdentityRef(r + 1)
+}
+
+// LookupIdentity returns the handle of an identity, or zero.
+func (c *Corpus) LookupIdentity(id string) IdentityRef {
+	if r, ok := c.index[id]; ok {
+		return IdentityRef(r + 1)
+	}
+	return 0
+}
+
+// IdentityEntry returns the bytes of the first entry with identity h.
+func (c *Corpus) IdentityEntry(h IdentityRef) []byte {
+	return c.ders[h-1]
 }

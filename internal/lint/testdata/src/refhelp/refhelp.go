@@ -20,3 +20,13 @@ func Dump(c *corpus.Corpus, r corpus.Ref) []byte {
 func Label(c *corpus.Corpus, r corpus.Ref) string {
 	return string(Dump(c, r))
 }
+
+// Handle looks an identity up in c — the handle is owned by c.
+func Handle(c *corpus.Corpus, id string) corpus.IdentityRef {
+	return c.LookupIdentity(id)
+}
+
+// First resolves identity handle h against c.
+func First(c *corpus.Corpus, h corpus.IdentityRef) []byte {
+	return c.IdentityEntry(h)
+}

@@ -1,6 +1,7 @@
-// Package refscope exercises the corpus-Ref provenance rule: Refs crossing
-// corpus boundaries directly, through cross-package helpers, serialized Ref
-// fields, and Ref-keyed maps in multi-corpus structs.
+// Package refscope exercises the corpus-handle provenance rule: Refs and
+// identity handles crossing corpus boundaries directly, through
+// cross-package helpers, serialized handle fields, and handle-keyed maps in
+// multi-corpus structs.
 package refscope
 
 import (
@@ -67,7 +68,46 @@ func CrossSanctioned(a, b *corpus.Corpus, der []byte) []byte {
 	return b.DER(r)
 }
 
+// CrossIdentity derives an identity handle in one corpus and resolves it
+// in another: identity handles are per-corpus numbering too.
+func CrossIdentity(a, b *corpus.Corpus, der []byte) []byte {
+	h := a.IdentityRefOf(a.Intern(der))
+	return b.IdentityEntry(h)
+}
+
+// CrossIdentityViaHelpers launders an identity handle through package
+// refhelp's producer and consumer.
+func CrossIdentityViaHelpers(a, b *corpus.Corpus, id string) []byte {
+	h := refhelp.Handle(a, id)
+	return refhelp.First(b, h)
+}
+
+// SameCorpusIdentity is the negative: handle and lookup share a corpus.
+func SameCorpusIdentity(a *corpus.Corpus, id string) []byte {
+	h := a.LookupIdentity(id)
+	_ = a.IdentityEntry(h)
+	return refhelp.First(a, refhelp.Handle(a, id))
+}
+
+// SavedRoots persists identity handles, which are as process-local as Refs.
+type SavedRoots struct {
+	Roots []corpus.IdentityRef `gob:"roots"`
+}
+
+// TwoTallies counts by bare identity handle next to two corpora.
+type TwoTallies struct {
+	Shared *corpus.Corpus
+	Pass   *corpus.Corpus
+	counts map[corpus.IdentityRef]int
+}
+
+// OneTally keys by identity handle next to a single corpus: clean.
+type OneTally struct {
+	Pass   *corpus.Corpus
+	counts map[corpus.IdentityRef]int
+}
+
 // use keeps the unexported types referenced.
-func use(m memoEntry, s TwoStores, o OneStore) (string, int, int) {
-	return m.name, len(s.seen), len(o.seen)
+func use(m memoEntry, s TwoStores, o OneStore, tt TwoTallies, ot OneTally) (string, int, int, int) {
+	return m.name, len(s.seen), len(o.seen), len(tt.counts) + len(ot.counts)
 }

@@ -15,6 +15,7 @@ import (
 	"context"
 	"crypto/x509"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -474,32 +475,94 @@ func (n *Notary) AttributeLeaves(stores []*rootstore.Store, leaves []corpus.Ref)
 // stores' roots (plus every observed CA as intermediate), attributes leaves
 // to validating roots, then projects the attribution onto each store.
 func (n *Notary) Validate(stores ...*rootstore.Store) []*StoreReport {
-	attrs := n.AttributeLeaves(stores, n.UnexpiredLeafRefs())
+	p := NewProjection(stores)
+	p.Add(n.AttributeLeaves(stores, n.UnexpiredLeafRefs()))
+	return p.Reports()
+}
 
-	perRoot := map[certid.Identity]int{}
-	for _, a := range attrs {
-		for _, id := range a.Roots {
-			perRoot[id]++
+// Projection projects leaf attributions onto a fixed list of stores: how
+// many leaves each store validates, and how many each member root
+// validates. A leaf's root identities are resolved to identity handles
+// once per distinct store corpus, so matching them against members
+// compares integers. Projections of one store list over disjoint leaf sets
+// merge by addition, in any order.
+type Projection struct {
+	stores    []*rootstore.Store
+	corpora   []*corpus.Corpus // the distinct store corpora
+	corpusOf  []int            // stores[i]'s position in corpora
+	validated []int
+	// perRoot[k] counts, per identity handle of corpora[k], the leaves the
+	// root validates.
+	perRoot []map[corpus.IdentityRef]int
+}
+
+// NewProjection returns an empty projection onto stores.
+func NewProjection(stores []*rootstore.Store) *Projection {
+	p := &Projection{stores: stores, corpusOf: make([]int, len(stores)), validated: make([]int, len(stores))}
+	for i, s := range stores {
+		k := slices.Index(p.corpora, s.Corpus())
+		if k < 0 {
+			k = len(p.corpora)
+			p.corpora = append(p.corpora, s.Corpus())
+			p.perRoot = append(p.perRoot, map[corpus.IdentityRef]int{})
 		}
+		p.corpusOf[i] = k
 	}
+	return p
+}
 
-	reports := make([]*StoreReport, len(stores))
-	for si, s := range stores {
-		rep := &StoreReport{Store: s, PerRoot: make(map[certid.Identity]int, s.Len())}
-		for _, id := range s.Identities() {
-			rep.PerRoot[id] = perRoot[id]
-		}
-		for _, a := range attrs {
+// Add projects a batch of leaf attributions.
+func (p *Projection) Add(attrs []LeafAttribution) {
+	handles := make([][]corpus.IdentityRef, len(p.corpora))
+	for _, a := range attrs {
+		for k, c := range p.corpora {
+			hs := handles[k][:0]
 			for _, id := range a.Roots {
-				if s.ContainsIdentity(id) {
-					rep.Validated++
+				// A root the corpus has never interned is a member of none
+				// of its stores.
+				if h := c.LookupIdentity(id); h != 0 {
+					hs = append(hs, h)
+					p.perRoot[k][h]++
+				}
+			}
+			handles[k] = hs
+		}
+		for i, s := range p.stores {
+			for _, h := range handles[p.corpusOf[i]] {
+				if s.ContainsHandle(h) {
+					p.validated[i]++
 					break
 				}
 			}
 		}
-		reports[si] = rep
 	}
-	return reports
+}
+
+// Merge adds o, a projection onto the same stores, into p.
+func (p *Projection) Merge(o *Projection) {
+	for i, v := range o.validated {
+		p.validated[i] += v
+	}
+	for k, m := range o.perRoot {
+		for h, v := range m {
+			p.perRoot[k][h] += v
+		}
+	}
+}
+
+// Reports returns one report per store, in store order.
+func (p *Projection) Reports() []*StoreReport {
+	out := make([]*StoreReport, len(p.stores))
+	for i, s := range p.stores {
+		counts := p.perRoot[p.corpusOf[i]]
+		rep := &StoreReport{Store: s, Validated: p.validated[i], PerRoot: make(map[certid.Identity]int, s.Len())}
+		for _, ref := range s.Refs() {
+			e := s.Corpus().Entry(ref)
+			rep.PerRoot[e.Identity] = counts[e.IdentityRef]
+		}
+		out[i] = rep
+	}
+	return out
 }
 
 // ValidateOne is Validate for a single store.

@@ -19,7 +19,7 @@ import (
 
 	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/certgen"
-	"tangledmass/internal/certid"
+	"tangledmass/internal/corpus"
 	"tangledmass/internal/device"
 	"tangledmass/internal/parallel"
 	"tangledmass/internal/rootstore"
@@ -247,9 +247,9 @@ func (p *Population) newHandset(u *cauniverse.Universe, src *stats.Source,
 	if *missingBudget > 0 && src.Bool(0.002) {
 		*missingBudget--
 		pruned := base.Clone(base.Name() + " pruned")
-		ids := pruned.Identities()
+		refs := pruned.Refs()
 		for i := 0; i < 1+src.Intn(3); i++ {
-			pruned.Remove(ids[src.Intn(len(ids))])
+			pruned.Remove(pruned.Corpus().Identity(refs[src.Intn(len(refs))]))
 		}
 		base = pruned
 	}
@@ -396,17 +396,22 @@ func (p *Population) finalizeHandsets(u *cauniverse.Universe) {
 	// A fleet holds far fewer distinct store memberships than handsets
 	// (firmware variants repeat across devices), so the AOSP comparison runs
 	// once per distinct (version, membership) pair and fans the counts out.
-	// Compare by precomputed identity: no certificate is re-interned or
-	// re-fingerprinted here.
+	// Members are matched by identity handle: no certificate is re-interned
+	// or re-fingerprinted here.
 	type storeCounts struct{ aosp, extra, missing int }
-	cache := map[string]storeCounts{}
+	type membership struct {
+		version string
+		digest  corpus.Digest // with n, the store's ContentKey
+		n       int
+	}
+	cache := map[membership]storeCounts{}
 	for _, h := range p.Handsets {
-		key := h.Version + "\x00" + h.Store.ContentKey()
+		key := membership{h.Version, h.Store.ContentDigest(), h.Store.Len()}
 		c, ok := cache[key]
 		if !ok {
 			aosp := u.AOSP(h.Version)
-			for _, id := range h.Store.Identities() {
-				if aosp.ContainsIdentity(id) {
+			for _, ref := range h.Store.Refs() {
+				if aosp.ContainsRef(h.Store.Corpus(), ref) {
 					c.aosp++
 				} else {
 					c.extra++
@@ -480,27 +485,23 @@ func (p *Population) RootedSessionFraction() float64 {
 
 // UniqueRootIdentities counts distinct root identities across all handset
 // stores (§4.1 reports 314 unique root certificates). The set union is a
-// sharded fold on the parallel engine; set union is order-insensitive, and
-// the error is ctx cancellation only, which the background context never
-// produces.
+// sharded fold on the parallel engine over identity-handle bitsets; set
+// union is order-insensitive, and the error is ctx cancellation only,
+// which the background context never produces.
 func (p *Population) UniqueRootIdentities() int {
 	seen, _ := parallel.Accumulate(context.Background(), len(p.Handsets),
-		func() map[certid.Identity]bool { return map[certid.Identity]bool{} },
-		func(seen map[certid.Identity]bool, start, end int) map[certid.Identity]bool {
+		func() *rootstore.IdentitySet { return &rootstore.IdentitySet{} },
+		func(seen *rootstore.IdentitySet, start, end int) *rootstore.IdentitySet {
 			for i := start; i < end; i++ {
-				for _, id := range p.Handsets[i].Store.Identities() {
-					seen[id] = true
-				}
+				seen.AddStore(p.Handsets[i].Store)
 			}
 			return seen
 		},
-		func(into, from map[certid.Identity]bool) map[certid.Identity]bool {
-			for id := range from {
-				into[id] = true
-			}
+		func(into, from *rootstore.IdentitySet) *rootstore.IdentitySet {
+			into.Merge(from)
 			return into
 		})
-	return len(seen)
+	return seen.Len()
 }
 
 // Default generates the paper-scale population with seed 1 — the

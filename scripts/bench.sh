@@ -2,7 +2,8 @@
 # bench.sh runs the full benchmark sweep with -benchmem and emits a
 # machine-readable JSON record (ns/op, B/op, allocs/op per benchmark) via
 # cmd/benchjson. The committed BENCH_pr10.json is the serial baseline the
-# verify bench-gate compares against.
+# verify bench-gate compares against; the sweep runs at -cpu 1 (GOMAXPROCS=1)
+# so a re-recorded baseline stays serial too.
 #
 # Usage:
 #   scripts/bench.sh [output.json]
@@ -29,8 +30,8 @@ label=${BENCH_LABEL:-$(basename "$baseline" .json | sed 's/^BENCH_//')}
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT INT TERM
 
-echo "==> go test -bench '$pattern' -benchmem -benchtime $benchtime ."
-go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" . | tee "$workdir/bench.out"
+echo "==> go test -bench '$pattern' -benchmem -benchtime $benchtime -cpu 1 ."
+go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -cpu 1 . | tee "$workdir/bench.out"
 
 echo "==> emitting $out"
 go run ./cmd/benchjson emit -label "$label" <"$workdir/bench.out" >"$out"

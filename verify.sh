@@ -47,7 +47,9 @@ go test -race ./...
 # The bench-gate compares the Table/Figure benchmarks against the committed
 # serial baseline and fails on a >25% ns/op regression or a >25% allocs/op
 # regression (allocations are deterministic, so the alloc gate is stable
-# even on loaded machines). BENCH_GATE=off skips it (useful on loaded or
+# even on loaded machines). The baseline was recorded at GOMAXPROCS=1, so
+# the run pins -cpu 1: the parallel engine allocates per worker, and at the
+# host's GOMAXPROCS allocs/op would not compare like with like. BENCH_GATE=off skips it (useful on loaded or
 # throttled machines where timings are meaningless). BENCH_BASELINE picks
 # a different committed baseline file.
 BENCH_BASELINE=${BENCH_BASELINE:-BENCH_pr10.json}
@@ -55,7 +57,7 @@ if [ "${BENCH_GATE:-on}" = "off" ]; then
 	echo "==> bench-gate: skipped (BENCH_GATE=off)"
 else
 	echo "==> bench-gate: Table/Figure vs $BENCH_BASELINE (tolerance 25% time, 25% allocs)"
-	go test -run '^$' -bench 'Table|Figure' -benchmem -benchtime "${BENCH_TIME:-3x}" . |
+	go test -run '^$' -bench 'Table|Figure' -benchmem -benchtime "${BENCH_TIME:-3x}" -cpu 1 . |
 		go run ./cmd/benchjson gate -baseline "$BENCH_BASELINE" -match 'Table|Figure' -tolerance 0.25 -alloc-tolerance 0.25
 fi
 
