@@ -11,8 +11,8 @@ import (
 	"tangledmass/internal/certgen"
 	"tangledmass/internal/faultnet"
 	"tangledmass/internal/loadgen"
-	"tangledmass/internal/notaryshard"
 	"tangledmass/internal/notarynet"
+	"tangledmass/internal/notaryshard"
 	"tangledmass/internal/obs"
 )
 

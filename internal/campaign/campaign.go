@@ -25,6 +25,7 @@ import (
 	"tangledmass/internal/resilient"
 	"tangledmass/internal/tlsnet"
 	"tangledmass/internal/trusteval"
+	"tangledmass/internal/wire"
 )
 
 // config collects the campaign knobs behind Run's functional options.
@@ -245,12 +246,6 @@ type sessionResult struct {
 	faults        map[string]int
 }
 
-// netDial is the plain TCP transport for collector and notary connections.
-func netDial(ctx context.Context, addr string) (net.Conn, error) {
-	d := &net.Dialer{Timeout: 10 * time.Second}
-	return d.DialContext(ctx, "tcp", addr)
-}
-
 // session executes one Netalyzr session end to end: probe, submit, observe.
 func (cfg *config) session(ctx context.Context, s *population.Session) sessionResult {
 	scope := fmt.Sprintf("session-%d", s.ID)
@@ -311,9 +306,9 @@ func (cfg *config) runSession(ctx context.Context, s *population.Session, scope 
 // session's scope and the given logical key.
 func (cfg *config) clientDial(scope, key string) func(ctx context.Context, addr string) (net.Conn, error) {
 	if cfg.faults == nil {
-		return netDial
+		return wire.DialTCP
 	}
-	return cfg.faults.DialFunc(scope, key, netDial)
+	return cfg.faults.DialFunc(scope, key, wire.DialTCP)
 }
 
 // submit delivers one report over a fresh collector connection.

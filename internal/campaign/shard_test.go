@@ -9,8 +9,8 @@ import (
 	"tangledmass/internal/certgen"
 	"tangledmass/internal/collect"
 	"tangledmass/internal/mitm"
-	"tangledmass/internal/notaryshard"
 	"tangledmass/internal/notarynet"
+	"tangledmass/internal/notaryshard"
 	"tangledmass/internal/population"
 	"tangledmass/internal/resilient"
 	"tangledmass/internal/tlsnet"

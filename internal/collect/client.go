@@ -1,40 +1,18 @@
 package collect
 
 import (
-	"bufio"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
-	"time"
 
 	"tangledmass/internal/netalyzr"
-	"tangledmass/internal/obs"
-	"tangledmass/internal/resilient"
+	"tangledmass/internal/wire"
 )
 
-// Client submits session reports. Sequential use only. Transient transport
-// failures retry on a fresh connection: after any mid-exchange failure the
-// transport is marked broken and never reused (a half-read response would
-// desync the framing), and submits carry idempotency IDs the server
+// Client submits session reports over the resilient wire client.
+// Sequential use only. Submits carry idempotency IDs the server
 // deduplicates, so a retry after a lost response does not double-count.
 type Client struct {
-	addr    string
-	timeout time.Duration
-	dial    func(ctx context.Context, addr string) (net.Conn, error)
-	retry   *resilient.Retrier
-	obs     *obs.Observer
-
-	nonce string
-	seq   uint64
-
-	conn    net.Conn
-	scanner *bufio.Scanner
-	enc     *json.Encoder
-	broken  bool
+	wc *wire.Client
 }
 
 // NewClient connects to a collector. The initial connect already runs
@@ -42,133 +20,33 @@ type Client struct {
 // WithRetryPolicy, WithDialFunc, WithObserver.
 func NewClient(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 	op := buildOptions(opts)
-	c := &Client{
-		addr:    addr,
-		timeout: op.timeout,
-		dial:    op.dial,
-		retry:   op.retry,
-		obs:     op.observer,
-		nonce:   newNonce(),
-	}
-	if c.timeout <= 0 {
-		c.timeout = time.Minute
-	}
-	if c.dial == nil {
-		c.dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			d := &net.Dialer{Timeout: 10 * time.Second}
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
-	if c.retry == nil {
-		c.retry = resilient.NewRetrier(resilient.Policy{
-			MaxAttempts: 4,
-			BaseDelay:   20 * time.Millisecond,
-			MaxDelay:    500 * time.Millisecond,
-		}, 0).WithObserver(op.observer)
-	}
-	if err := c.retry.Do(ctx, func(int) error { return c.connect(ctx) }); err != nil {
+	wc, err := wire.Dial(ctx, addr, wire.Config{
+		Name:     "collect",
+		Timeout:  op.timeout,
+		Dial:     op.dial,
+		Retry:    op.retry,
+		Observer: op.observer,
+		Dialed: func(err error) {
+			op.observer.Counter(KeyClientDials).Inc()
+			if err != nil {
+				op.observer.Counter(KeyClientDialErrors).Inc()
+			}
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
-	return c, nil
-}
-
-// newNonce labels this client's idempotency IDs. Uniqueness, not
-// unpredictability, is what matters; an entropy-pool failure is not
-// recoverable.
-func newNonce() string {
-	b := make([]byte, 6)
-	if _, err := rand.Read(b); err != nil {
-		panic(fmt.Sprintf("collect: reading nonce entropy: %v", err))
-	}
-	return hex.EncodeToString(b)
-}
-
-// connect establishes a fresh transport, replacing any broken one.
-func (c *Client) connect(ctx context.Context) error {
-	c.obs.Counter(KeyClientDials).Inc()
-	conn, err := c.dial(ctx, c.addr)
-	if err != nil {
-		c.obs.Counter(KeyClientDialErrors).Inc()
-		return fmt.Errorf("collect: dialing %s: %w", c.addr, err)
-	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), 8<<20)
-	c.conn, c.scanner, c.enc, c.broken = conn, sc, json.NewEncoder(conn), false
-	return nil
-}
-
-// markBroken poisons the transport after a mid-exchange failure so the
-// next attempt starts on a fresh connection.
-func (c *Client) markBroken() {
-	c.broken = true
-	if c.conn != nil {
-		_ = c.conn.Close()
-	}
+	return &Client{wc: wc}, nil
 }
 
 // Close releases the connection.
-func (c *Client) Close() error {
-	if c.conn == nil {
-		return nil
-	}
-	return c.conn.Close()
-}
+func (c *Client) Close() error { return c.wc.Close() }
 
-// roundTrip sends one request and reads one response, reconnecting and
-// retrying transient failures within ctx.
+// roundTrip sends one request under a fresh idempotency ID and returns its
+// response.
 func (c *Client) roundTrip(ctx context.Context, req request) (response, error) {
-	req.ID = fmt.Sprintf("%s-%d", c.nonce, c.seq)
-	c.seq++
-	var resp response
-	err := c.retry.Do(ctx, func(int) error {
-		r, err := c.attempt(ctx, req)
-		if err != nil {
-			return err
-		}
-		resp = r
-		return nil
-	})
-	return resp, err
-}
-
-// attempt runs one exchange on the current transport.
-func (c *Client) attempt(ctx context.Context, req request) (response, error) {
-	if c.broken || c.conn == nil {
-		if err := c.connect(ctx); err != nil {
-			return response{}, err
-		}
-	}
-	deadline := time.Now().Add(c.timeout)
-	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
-		deadline = dl
-	}
-	if err := c.conn.SetDeadline(deadline); err != nil {
-		c.markBroken()
-		return response{}, fmt.Errorf("collect: setting deadline: %w", err)
-	}
-	if err := c.enc.Encode(req); err != nil {
-		c.markBroken()
-		return response{}, fmt.Errorf("collect: sending %s: %w", req.Op, err)
-	}
-	if !c.scanner.Scan() {
-		err := c.scanner.Err()
-		c.markBroken()
-		if err != nil {
-			return response{}, fmt.Errorf("collect: reading response: %w", err)
-		}
-		return response{}, resilient.MarkTransient(errors.New("collect: connection closed"))
-	}
-	var resp response
-	if err := json.Unmarshal(c.scanner.Bytes(), &resp); err != nil {
-		// Corrupted or truncated line: the framing is no longer trustworthy.
-		c.markBroken()
-		return response{}, resilient.MarkTransient(fmt.Errorf("collect: decoding response: %w", err))
-	}
-	if !resp.OK {
-		// Protocol-level rejection over a healthy transport: not retryable.
-		return resp, resilient.MarkPermanent(fmt.Errorf("collect: server error: %s", resp.Error))
-	}
-	return resp, nil
+	req.ID = c.wc.NextID()
+	return wire.Call(ctx, c.wc, req, func(r response) (bool, string) { return r.OK, r.Error })
 }
 
 // Submit sends one session report.

@@ -2,10 +2,13 @@ package fota
 
 import (
 	"crypto/sha256"
+	"crypto/tls"
 	"crypto/x509"
 	"encoding/hex"
 	"errors"
+	"net"
 	"testing"
+	"time"
 
 	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/certgen"
@@ -144,5 +147,36 @@ func TestVerifyChannelDirect(t *testing.T) {
 	}
 	if err := up.VerifyChannel([]*x509.Certificate{webLeaf.Cert}); !errors.Is(err, ErrChannelUntrusted) {
 		t.Errorf("web-anchored channel err = %v, want ErrChannelUntrusted", err)
+	}
+}
+
+// TestCloseWithSilentClient: a client that connects and never sends its
+// ClientHello must not hold up Close — the handshake's read is expired.
+func TestCloseWithSilentClient(t *testing.T) {
+	_, _, srv, _ := env(t)
+	silent, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// Connections are accepted in arrival order, so once a later client's
+	// handshake completes the silent one is already being served.
+	probe, err := tls.Dial("tcp", srv.Addr(), &tls.Config{InsecureSkipVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Close()
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		silent.Close()
+		<-closed
+		t.Fatal("Close waited on a client that never sent its ClientHello")
 	}
 }

@@ -5,20 +5,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sync"
+
+	"tangledmass/internal/wire"
 )
 
 // Server is the vendor's update endpoint: a TLS listener authenticated by a
 // FOTA-root-issued certificate that answers every connection with the
-// current signed manifest.
+// current signed manifest. Close expires pending reads, so a client that
+// connected but never finished its handshake does not hold it up.
 type Server struct {
-	ln       net.Listener
+	*wire.Listener
 	manifest Manifest
 	cred     tls.Certificate
-
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // NewServer starts an update server on 127.0.0.1 (ephemeral port). The
@@ -32,60 +30,28 @@ func NewServer(signer *Signer, manifest Manifest) (*Server, error) {
 		}
 		manifest = signed
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("fota: listening: %w", err)
-	}
 	s := &Server{
-		ln:       ln,
 		manifest: manifest,
 		cred: tls.Certificate{
 			Certificate: [][]byte{signer.Cert.Cert.Raw},
 			PrivateKey:  signer.Cert.Key,
 		},
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	var err error
+	if s.Listener, err = wire.Listen("127.0.0.1:0", s.handle); err != nil {
+		return nil, fmt.Errorf("fota: listening: %w", err)
+	}
 	return s, nil
 }
 
-// Addr returns host:port.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the server.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
+func (s *Server) handle(conn net.Conn) {
+	tconn := tls.Server(conn, &tls.Config{Certificates: []tls.Certificate{s.cred}})
+	if err := tconn.Handshake(); err != nil {
+		return
 	}
-	s.closed = true
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			tconn := tls.Server(conn, &tls.Config{Certificates: []tls.Certificate{s.cred}})
-			if err := tconn.Handshake(); err != nil {
-				return
-			}
-			if err := json.NewEncoder(tconn).Encode(s.manifest); err != nil {
-				return
-			}
-			// Best-effort close_notify; the raw conn close is deferred.
-			_ = tconn.Close()
-		}()
+	if err := json.NewEncoder(tconn).Encode(s.manifest); err != nil {
+		return
 	}
+	// Best-effort close_notify; the listener closes the raw conn.
+	_ = tconn.Close()
 }

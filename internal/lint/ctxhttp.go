@@ -5,11 +5,12 @@ import (
 )
 
 // CtxHTTP keeps the long-running network services cancellable. The
-// collector, FOTA endpoint, notary service, TLS origin, and interception
-// proxy all hold goroutines per connection; a dial or request without a
-// timeout or context in those packages is a goroutine leak waiting for one
-// unresponsive peer. Use net.DialTimeout, a net.Dialer with Timeout or
-// DialContext, or an http.Client with Timeout instead.
+// collector, FOTA endpoint, notary service, TLS origin, interception
+// proxy, and the transport core under them all hold goroutines per
+// connection; a dial or request without a timeout or context in those
+// packages is a goroutine leak waiting for one unresponsive peer. Use
+// net.DialTimeout, a net.Dialer with Timeout or DialContext, or an
+// http.Client with Timeout instead.
 var CtxHTTP = &Analyzer{
 	Name: "ctxhttp",
 	Doc:  "flag http.Get/net.Dial without timeout or context in long-running server packages",
@@ -23,6 +24,7 @@ var ctxHTTPPackages = map[string]bool{
 	"notarynet": true,
 	"tlsnet":    true,
 	"mitm":      true,
+	"wire":      true,
 }
 
 // ctxHTTPCallees block without a deadline: the package-level http helpers

@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync/atomic"
 	"time"
 
@@ -22,6 +21,7 @@ import (
 	"tangledmass/internal/parallel"
 	"tangledmass/internal/resilient"
 	"tangledmass/internal/tlsnet"
+	"tangledmass/internal/wire"
 )
 
 // Observability keys.
@@ -201,7 +201,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 		if c.Faults != nil {
 			key := fmt.Sprintf("client-%d", ci)
-			opts = append(opts, notarynet.WithDialFunc(c.Faults.DialFunc("loadgen", key, plainDial)))
+			opts = append(opts, notarynet.WithDialFunc(c.Faults.DialFunc("loadgen", key, wire.DialTCP)))
 		}
 		client, err := notarynet.NewClient(ctx, c.Addr, opts...)
 		if err != nil {
@@ -255,10 +255,4 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		ElapsedMs:      elapsed,
 		Latency:        c.Observer.Snapshot().Hists[KeyObserveLatency],
 	}, nil
-}
-
-// plainDial is the un-faulted TCP transport the injector wraps.
-func plainDial(ctx context.Context, addr string) (net.Conn, error) {
-	d := &net.Dialer{Timeout: 10 * time.Second}
-	return d.DialContext(ctx, "tcp", addr)
 }

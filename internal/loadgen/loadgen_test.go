@@ -7,8 +7,8 @@ import (
 
 	"tangledmass/internal/certgen"
 	"tangledmass/internal/faultnet"
-	"tangledmass/internal/notaryshard"
 	"tangledmass/internal/notarynet"
+	"tangledmass/internal/notaryshard"
 	"tangledmass/internal/obs"
 	"tangledmass/internal/resilient"
 )

@@ -1,197 +1,63 @@
 package notarynet
 
 import (
-	"bufio"
 	"context"
-	"crypto/rand"
 	"crypto/x509"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"net"
 	"time"
 
-	"tangledmass/internal/obs"
 	"tangledmass/internal/resilient"
 	"tangledmass/internal/rootstore"
+	"tangledmass/internal/wire"
 )
 
-// Client talks to a notarynet server. It is safe for sequential use only
-// (the protocol is request/response per line); use one client per
-// goroutine. Transient transport failures — refused connects, resets,
-// timeouts, truncated responses — are retried on a fresh connection under
-// the client's retry policy: after any mid-exchange failure the scanner
-// may hold a half-read response for an earlier request, so the transport
-// is marked broken and never reused, which is what keeps a retried
-// roundTrip from reading a stale response for the wrong request. Mutating
-// requests carry idempotency IDs the server deduplicates, so a retry after
-// a lost response does not double-observe.
+// Client talks to a notarynet server over the resilient wire client. It
+// is safe for sequential use only (the protocol is request/response per
+// line); use one client per goroutine. Mutating requests carry
+// idempotency IDs the server deduplicates, so a retry after a lost
+// response does not double-observe.
 type Client struct {
-	addr    string
-	timeout time.Duration
-	dial    func(ctx context.Context, addr string) (net.Conn, error)
-	retry   *resilient.Retrier
-	breaker *resilient.Breaker
-	obs     *obs.Observer
-
-	nonce string
-	seq   uint64
-
-	conn    net.Conn
-	scanner *bufio.Scanner
-	enc     *json.Encoder
-	broken  bool
+	wc *wire.Client
 }
 
 // NewClient connects to a server. The initial connect already runs under
 // the retry policy, bounded by ctx. Options: WithTimeout, WithRetryPolicy,
-// WithBreaker/WithoutBreaker, WithDialFunc, WithObserver.
+// WithoutBreaker, WithDialFunc, WithObserver. The default circuit breaker
+// opens after 5 consecutive transport failures, for a second.
 func NewClient(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 	op := buildOptions(opts)
-	c := &Client{
-		addr:    addr,
-		timeout: op.timeout,
-		dial:    op.dial,
-		retry:   op.retry,
-		breaker: op.breaker,
-		obs:     op.observer,
-		nonce:   newNonce(),
+	var breaker *resilient.Breaker
+	if !op.disableBreaker {
+		breaker = resilient.NewBreaker(5, time.Second).WithObserver(op.observer)
 	}
-	if c.timeout <= 0 {
-		c.timeout = time.Minute
-	}
-	if c.dial == nil {
-		c.dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			d := &net.Dialer{Timeout: 10 * time.Second}
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
-	if c.retry == nil {
-		c.retry = resilient.NewRetrier(resilient.Policy{
-			MaxAttempts: 4,
-			BaseDelay:   20 * time.Millisecond,
-			MaxDelay:    500 * time.Millisecond,
-		}, 0).WithObserver(op.observer)
-	}
-	if c.breaker == nil && !op.disableBreaker {
-		c.breaker = resilient.NewBreaker(5, time.Second).WithObserver(op.observer)
-	}
-	if err := c.retry.Do(ctx, func(int) error { return c.connect(ctx) }); err != nil {
+	wc, err := wire.Dial(ctx, addr, wire.Config{
+		Name:     "notarynet",
+		Timeout:  op.timeout,
+		Dial:     op.dial,
+		Retry:    op.retry,
+		Observer: op.observer,
+		Breaker:  breaker,
+		Dialed: func(err error) {
+			op.observer.Counter(KeyClientDials).Inc()
+			if err != nil {
+				op.observer.Counter(KeyClientDialErrors).Inc()
+			}
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
-	return c, nil
-}
-
-// newNonce labels this client's idempotency IDs. Uniqueness, not
-// unpredictability, is what matters; an entropy-pool failure is not
-// recoverable.
-func newNonce() string {
-	b := make([]byte, 6)
-	if _, err := rand.Read(b); err != nil {
-		panic(fmt.Sprintf("notarynet: reading nonce entropy: %v", err))
-	}
-	return hex.EncodeToString(b)
-}
-
-// connect establishes a fresh transport, replacing any broken one.
-func (c *Client) connect(ctx context.Context) error {
-	c.obs.Counter(KeyClientDials).Inc()
-	conn, err := c.dial(ctx, c.addr)
-	if err != nil {
-		c.obs.Counter(KeyClientDialErrors).Inc()
-		return fmt.Errorf("notarynet: dialing %s: %w", c.addr, err)
-	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
-	c.conn, c.scanner, c.enc, c.broken = conn, sc, json.NewEncoder(conn), false
-	return nil
-}
-
-// markBroken poisons the transport after a mid-exchange failure so the
-// next attempt starts on a fresh connection.
-func (c *Client) markBroken() {
-	c.broken = true
-	if c.conn != nil {
-		_ = c.conn.Close()
-	}
+	return &Client{wc: wc}, nil
 }
 
 // Close releases the connection.
-func (c *Client) Close() error {
-	if c.conn == nil {
-		return nil
-	}
-	return c.conn.Close()
-}
+func (c *Client) Close() error { return c.wc.Close() }
 
-// roundTrip sends one request and reads one response, reconnecting and
-// retrying transient failures within ctx. Every request carries a unique
-// ID so the server can deduplicate re-sent mutations.
+// roundTrip sends one request under a fresh idempotency ID and returns its
+// response. Every request carries an ID so the server can deduplicate
+// re-sent mutations.
 func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
-	req.ID = fmt.Sprintf("%s-%d", c.nonce, c.seq)
-	c.seq++
-	var resp Response
-	err := c.retry.Do(ctx, func(int) error {
-		if err := c.breaker.Allow(); err != nil {
-			return err
-		}
-		r, err := c.attempt(ctx, req)
-		// The breaker tracks transport health: transient failures trip it,
-		// while protocol rejections over a healthy connection do not.
-		if resilient.Classify(err) == resilient.Transient {
-			c.breaker.Record(err)
-		} else {
-			c.breaker.Record(nil)
-		}
-		if err != nil {
-			return err
-		}
-		resp = r
-		return nil
-	})
-	return resp, err
-}
-
-// attempt runs one exchange on the current transport.
-func (c *Client) attempt(ctx context.Context, req Request) (Response, error) {
-	if c.broken || c.conn == nil {
-		if err := c.connect(ctx); err != nil {
-			return Response{}, err
-		}
-	}
-	deadline := time.Now().Add(c.timeout)
-	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
-		deadline = dl
-	}
-	if err := c.conn.SetDeadline(deadline); err != nil {
-		c.markBroken()
-		return Response{}, fmt.Errorf("notarynet: setting deadline: %w", err)
-	}
-	if err := c.enc.Encode(req); err != nil {
-		c.markBroken()
-		return Response{}, fmt.Errorf("notarynet: sending %s: %w", req.Op, err)
-	}
-	if !c.scanner.Scan() {
-		err := c.scanner.Err()
-		c.markBroken()
-		if err != nil {
-			return Response{}, fmt.Errorf("notarynet: reading response: %w", err)
-		}
-		return Response{}, resilient.MarkTransient(errors.New("notarynet: connection closed by server"))
-	}
-	var resp Response
-	if err := json.Unmarshal(c.scanner.Bytes(), &resp); err != nil {
-		// Corrupted or truncated line: the framing is no longer trustworthy.
-		c.markBroken()
-		return Response{}, resilient.MarkTransient(fmt.Errorf("notarynet: decoding response: %w", err))
-	}
-	if !resp.OK {
-		// Protocol-level rejection over a healthy transport: not retryable,
-		// and the connection stays usable.
-		return resp, resilient.MarkPermanent(fmt.Errorf("notarynet: server error: %s", resp.Error))
-	}
-	return resp, nil
+	req.ID = c.wc.NextID()
+	return wire.Call(ctx, c.wc, req, func(r Response) (bool, string) { return r.OK, r.Error })
 }
 
 // Observe submits one observed chain.

@@ -4,12 +4,16 @@ import (
 	"context"
 	"crypto/x509"
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tangledmass/internal/certgen"
 	"tangledmass/internal/faultfs"
 	"tangledmass/internal/notary"
+	"tangledmass/internal/resilient"
 )
 
 // gateIngester rejects writes while closed — the shape of a durable
@@ -135,5 +139,172 @@ func TestDurableIngesterEndToEnd(t *testing.T) {
 	}
 	if !rdb.Notary().HasRecord(leaves[1]) {
 		t.Fatal("acknowledged observation missing after reboot")
+	}
+}
+
+// stallIngester holds its first write until release closes, then fails
+// it — a journal fsync that stalls past the client's timeout and then
+// errors. Later writes succeed.
+type stallIngester struct {
+	n       *notary.Notary
+	entered chan struct{}
+	release chan struct{}
+	writes  atomic.Int32
+}
+
+func newStallIngester(n *notary.Notary) *stallIngester {
+	return &stallIngester{n: n, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (s *stallIngester) stall() error {
+	if s.writes.Add(1) > 1 {
+		return nil
+	}
+	close(s.entered)
+	<-s.release
+	return errors.New("fsync failed")
+}
+
+func (s *stallIngester) Observe(o notary.Observation) error {
+	if err := s.stall(); err != nil {
+		return err
+	}
+	s.n.Observe(o)
+	return nil
+}
+
+func (s *stallIngester) ObserveCA(cert *x509.Certificate, port int) error {
+	if err := s.stall(); err != nil {
+		return err
+	}
+	s.n.ObserveCA(cert, port)
+	return nil
+}
+
+// TestRetryWaitsForPendingOriginal: a retry that arrives on another
+// connection while its original is still being applied must not be
+// acknowledged before anything is durable. It waits for the original's
+// outcome; when the original fails, the retry applies itself.
+func TestRetryWaitsForPendingOriginal(t *testing.T) {
+	root, leaves := testPKI(t)
+	chain := EncodeChain([]*x509.Certificate{leaves[0], root.Cert})
+	for _, req := range []Request{
+		{Op: "observe", ID: "pending", Chain: chain, Port: 443},
+		{Op: "observe_ca", ID: "pending", Cert: EncodeCert(root.Cert), Port: 443},
+		{Op: "observe_batch", ID: "pending", Batch: []BatchItem{{Chain: chain, Port: 443}}},
+	} {
+		t.Run(req.Op, func(t *testing.T) {
+			n := notary.New(certgen.Epoch)
+			ing := newStallIngester(n)
+			srv, err := NewServer(n, "127.0.0.1:0", WithIngester(ing))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+
+			original := make(chan Response, 1)
+			go func() { original <- srv.dispatch(req) }()
+			<-ing.entered
+			retry := make(chan Response, 1)
+			go func() { retry <- srv.dispatch(req) }()
+			// Nothing signals that the retry has parked; give it time to
+			// reach the idempotency window and check it has not answered.
+			select {
+			case resp := <-retry:
+				close(ing.release)
+				t.Fatalf("retry answered %+v while the original was still being applied", resp)
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(ing.release)
+			if resp := <-original; resp.OK {
+				t.Fatalf("original = %+v, want the ingest error", resp)
+			}
+			if resp := <-retry; !resp.OK {
+				t.Fatalf("retry = %+v, want it applied once the original failed", resp)
+			}
+			if got := n.Sessions(); got != 1 {
+				t.Fatalf("sessions = %d, want 1", got)
+			}
+			if resp := srv.dispatch(req); !resp.OK || n.Sessions() != 1 {
+				t.Fatalf("later duplicate = %+v with %d sessions, want absorbed", resp, n.Sessions())
+			}
+		})
+	}
+}
+
+// TestFailedIDAgesOutByLatestRecording: an ID that failed and was then
+// applied stays deduplicated for a full window after that apply. Its
+// failed attempt must not count towards its age.
+func TestFailedIDAgesOutByLatestRecording(t *testing.T) {
+	const window = 4096 // the server's idempotency window
+	n := notary.New(certgen.Epoch)
+	gate := &gateIngester{n: n}
+	srv, err := NewServer(n, "127.0.0.1:0", WithIngester(gate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	root, _ := testPKI(t)
+	ca := EncodeCert(root.Cert)
+	req := Request{Op: "observe_ca", ID: "x", Cert: ca, Port: 443}
+
+	gate.reject = true
+	if resp := srv.dispatch(req); resp.OK {
+		t.Fatal("fenced write should fail")
+	}
+	gate.reject = false
+	if resp := srv.dispatch(req); !resp.OK {
+		t.Fatalf("retry = %+v", resp)
+	}
+	for i := 0; i < window-1; i++ {
+		if resp := srv.dispatch(Request{Op: "observe_ca", ID: fmt.Sprintf("n-%d", i), Cert: ca, Port: 443}); !resp.OK {
+			t.Fatalf("newer ID %d: %+v", i, resp)
+		}
+	}
+	before := n.Sessions()
+	if resp := srv.dispatch(req); !resp.OK {
+		t.Fatalf("resend = %+v", resp)
+	}
+	if got := n.Sessions(); got != before {
+		t.Fatalf("resend of x applied again (%d → %d sessions): x aged out one slot early", before, got)
+	}
+}
+
+// TestClientRetryDoesNotOutrunFailedWrite drives the pending-duplicate
+// case through a real client: the first write stalls past the client's
+// timeout and then fails, while the client's retries arrive on fresh
+// connections. Observe may succeed only if the observation is recorded.
+func TestClientRetryDoesNotOutrunFailedWrite(t *testing.T) {
+	n := notary.New(certgen.Epoch)
+	ing := newStallIngester(n)
+	srv, err := NewServer(n, "127.0.0.1:0", WithIngester(ing))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	root, leaves := testPKI(t)
+	go func() {
+		<-ing.entered
+		time.Sleep(300 * time.Millisecond)
+		close(ing.release)
+	}()
+
+	c, err := NewClient(context.Background(), srv.Addr(),
+		WithTimeout(100*time.Millisecond),
+		WithoutBreaker(),
+		WithRetryPolicy(resilient.NewRetrier(resilient.Policy{
+			MaxAttempts: 10,
+			BaseDelay:   20 * time.Millisecond,
+			MaxDelay:    50 * time.Millisecond,
+		}, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Observe(context.Background(), []*x509.Certificate{leaves[0], root.Cert}, 443); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Sessions(); got != 1 {
+		t.Fatalf("Observe acknowledged, but the notary holds %d sessions, want 1", got)
 	}
 }

@@ -31,7 +31,7 @@ func startServer(t *testing.T) (*Server, *notary.Notary) {
 	return srv, n
 }
 
-func testPKI(t *testing.T) (root *certgen.Issued, leaves []*x509.Certificate) {
+func testPKI(t testing.TB) (root *certgen.Issued, leaves []*x509.Certificate) {
 	t.Helper()
 	g := certgen.NewGenerator(90)
 	root, err := g.SelfSignedCA("Net Root")

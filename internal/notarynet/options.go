@@ -17,7 +17,6 @@ type options struct {
 	ingester       Ingester
 	timeout        time.Duration
 	retry          *resilient.Retrier
-	breaker        *resilient.Breaker
 	disableBreaker bool
 	dial           func(ctx context.Context, addr string) (net.Conn, error)
 }
@@ -53,14 +52,10 @@ func WithRetryPolicy(r *resilient.Retrier) Option {
 	return func(op *options) { op.retry = r }
 }
 
-// WithBreaker overrides the client's circuit breaker. The default is 5
-// consecutive round-trip failures opening the circuit for a second.
-func WithBreaker(b *resilient.Breaker) Option {
-	return func(op *options) { op.breaker = b }
-}
-
 // WithoutBreaker runs the client with no circuit breaker — deterministic
-// harnesses use this because the breaker's cooldown is wall-clock.
+// harnesses use this because the breaker's cooldown is wall-clock. The
+// default breaker opens after 5 consecutive transport failures, for a
+// second.
 func WithoutBreaker() Option {
 	return func(op *options) { op.disableBreaker = true }
 }

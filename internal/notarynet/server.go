@@ -1,28 +1,16 @@
 package notarynet
 
 import (
-	"bufio"
 	"crypto/x509"
 	"encoding/json"
 	"fmt"
-	"net"
-	"sync"
-	"time"
 
 	"tangledmass/internal/corpus"
 	"tangledmass/internal/notary"
 	"tangledmass/internal/obs"
 	"tangledmass/internal/rootstore"
+	"tangledmass/internal/wire"
 )
-
-// maxLineBytes bounds one protocol line. Chains of a few certificates fit
-// in well under 64 KiB; a validate request carrying a 262-root store needs
-// more.
-const maxLineBytes = 8 << 20
-
-// seenCap bounds the idempotency-ID window. Retries follow failures within
-// seconds, so a few thousand recent IDs is plenty; older ones age out.
-const seenCap = 4096
 
 // Ingester is the server's write path. The default wraps the Notary
 // directly (in-memory only); daemons running the durable layer pass the
@@ -80,15 +68,9 @@ func (ni notaryIngester) ObserveCA(cert *x509.Certificate, port int) error {
 type Server struct {
 	view View
 	ing  Ingester
-	ln   net.Listener
+	l    *wire.Listener
 	obs  *obs.Observer
-
-	mu        sync.Mutex
-	closed    bool
-	wg        sync.WaitGroup
-	conns     map[net.Conn]bool
-	seen      map[string]bool
-	seenOrder []string
+	ids  wire.Window
 }
 
 // NewServer starts a server answering reads from v on addr ("127.0.0.1:0"
@@ -110,26 +92,21 @@ func NewServer(v View, addr string, opts ...Option) (*Server, error) {
 			return nil, fmt.Errorf("notarynet: view %T is not writable; pass WithIngester", v)
 		}
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("notarynet: listening on %s: %w", addr, err)
-	}
 	observer := op.observer
 	if observer == nil {
 		observer = obs.New()
 	}
-	s := &Server{
-		view: v, ing: ing, ln: ln, obs: observer,
-		conns: make(map[net.Conn]bool),
-		seen:  make(map[string]bool),
+	s := &Server{view: v, ing: ing, obs: observer}
+	l, err := wire.Listen(addr, wire.Lines(s.serveLine, func() *obs.Gauge { return s.obs.Gauge(KeySensorsActive) }))
+	if err != nil {
+		return nil, fmt.Errorf("notarynet: listening on %s: %w", addr, err)
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.l = l
 	return s, nil
 }
 
 // Addr returns the listening address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.l.Addr() }
 
 // Observer returns the server's observer — the daemons mount obs.Handler
 // on it.
@@ -143,130 +120,35 @@ func (s *Server) Snapshot() obs.Snapshot { return s.obs.Snapshot() }
 // Close stops accepting and waits for in-flight requests to finish.
 // Idle connections are unblocked, so Close does not wait out their read
 // deadlines; a request already being served completes and is answered.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
+func (s *Server) Close() error { return s.l.Close() }
+
+// serveLine answers one request line.
+func (s *Server) serveLine(line []byte) any {
+	var req Request
+	if err := json.Unmarshal(line, &req); err != nil {
+		s.obs.Counter(KeyBadRequest).Inc()
+		return Response{Error: "bad request: " + err.Error()}
 	}
-	s.closed = true
-	for conn := range s.conns {
-		// Expire pending reads now; handlers drain and exit.
-		_ = conn.SetReadDeadline(time.Unix(1, 0))
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
+	return s.dispatch(req)
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
+// ingest applies one mutation under the request's idempotency ID: a
+// re-sent request whose response was lost is acknowledged without being
+// applied twice, and a failed ingest — one NOT durably recorded — releases
+// the ID so the sensor's retry is applied rather than absorbed. n is how
+// many observations the mutation carries.
+func (s *Server) ingest(id, op string, n int, apply func() error) Response {
+	dup, err := s.ids.Do(id, apply)
+	switch {
+	case dup:
+		s.obs.Counter(KeyIngestDedupe).Inc()
+	case err != nil:
+		s.obs.Counter(KeyIngestRejected).Inc()
+		return Response{Error: op + ": " + err.Error()}
+	default:
+		s.obs.Counter(KeyIngestTotal).Add(int64(n))
 	}
-}
-
-// armRead sets the idle deadline for the next request, or reports false if
-// the server has closed — the deadline and the closed flag share the mutex
-// so Close cannot re-arm a connection it just expired.
-func (s *Server) armRead(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	return conn.SetReadDeadline(time.Now().Add(2*time.Minute)) == nil
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.conns[conn] = true
-	s.mu.Unlock()
-	s.obs.Gauge(KeySensorsActive).Inc()
-	defer func() {
-		s.obs.Gauge(KeySensorsActive).Dec()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	// Sensors stream for long periods; analysis clients are short-lived.
-	// An idle deadline reaps abandoned connections either way.
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 64<<10), maxLineBytes)
-	enc := json.NewEncoder(conn)
-	for {
-		if !s.armRead(conn) {
-			return
-		}
-		if !scanner.Scan() {
-			return
-		}
-		line := scanner.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var req Request
-		resp := Response{OK: true}
-		if err := json.Unmarshal(line, &req); err != nil {
-			s.obs.Counter(KeyBadRequest).Inc()
-			resp = Response{Error: "bad request: " + err.Error()}
-		} else {
-			resp = s.dispatch(req)
-		}
-		if err := conn.SetWriteDeadline(time.Now().Add(time.Minute)); err != nil {
-			return
-		}
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-	}
-}
-
-// duplicate records id and reports whether it was already seen. Requests
-// without an ID are never deduplicated.
-func (s *Server) duplicate(id string) bool {
-	if id == "" {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.seen[id] {
-		return true
-	}
-	s.seen[id] = true
-	s.seenOrder = append(s.seenOrder, id)
-	if len(s.seenOrder) > seenCap {
-		delete(s.seen, s.seenOrder[0])
-		s.seenOrder = s.seenOrder[1:]
-	}
-	return false
-}
-
-// forget drops an idempotency ID recorded by duplicate — used when the
-// ingest behind it failed, so the eventual retry is processed rather than
-// deduplicated. The ID stays in seenOrder; the aging loop tolerates
-// already-deleted entries.
-func (s *Server) forget(id string) {
-	if id == "" {
-		return
-	}
-	s.mu.Lock()
-	delete(s.seen, id)
-	s.mu.Unlock()
+	return Response{OK: true}
 }
 
 func (s *Server) dispatch(req Request) Response {
@@ -279,39 +161,17 @@ func (s *Server) dispatch(req Request) Response {
 		if len(chain) == 0 {
 			return Response{Error: "observe: empty chain"}
 		}
-		// Acknowledge a re-sent observation whose response was lost without
-		// double-counting it; dedupe runs after validation so malformed
-		// retries still error.
-		if s.duplicate(req.ID) {
-			s.obs.Counter(KeyIngestDedupe).Inc()
-			return Response{OK: true}
-		}
-		if err := s.ing.Observe(notary.Observation{Chain: chain, Port: req.Port}); err != nil {
-			// The observation was NOT durably recorded: forget the ID so the
-			// sensor's retry is not absorbed as a duplicate and lost.
-			s.forget(req.ID)
-			s.obs.Counter(KeyIngestRejected).Inc()
-			return Response{Error: "observe: " + err.Error()}
-		}
-		s.obs.Counter(KeyIngestTotal).Inc()
-		return Response{OK: true}
+		// Dedupe runs after decoding, so malformed retries still error.
+		return s.ingest(req.ID, "observe", 1, func() error {
+			return s.ing.Observe(notary.Observation{Chain: chain, Port: req.Port})
+		})
 
 	case "observe_ca":
 		cert, err := DecodeCert(req.Cert)
 		if err != nil {
 			return Response{Error: err.Error()}
 		}
-		if s.duplicate(req.ID) {
-			s.obs.Counter(KeyIngestDedupe).Inc()
-			return Response{OK: true}
-		}
-		if err := s.ing.ObserveCA(cert, req.Port); err != nil {
-			s.forget(req.ID)
-			s.obs.Counter(KeyIngestRejected).Inc()
-			return Response{Error: "observe_ca: " + err.Error()}
-		}
-		s.obs.Counter(KeyIngestTotal).Inc()
-		return Response{OK: true}
+		return s.ingest(req.ID, "observe_ca", 1, func() error { return s.ing.ObserveCA(cert, req.Port) })
 
 	case "observe_batch":
 		if len(req.Batch) == 0 {
@@ -328,35 +188,11 @@ func (s *Server) dispatch(req Request) Response {
 			}
 			batch[i] = notary.Observation{Chain: chain, Port: item.Port}
 		}
-		if s.duplicate(req.ID) {
-			s.obs.Counter(KeyIngestDedupe).Inc()
-			return Response{OK: true, Applied: len(batch)}
+		resp := s.ingest(req.ID, "observe_batch", len(batch), func() error { return s.observeBatch(req.ID, batch) })
+		if resp.OK {
+			resp.Applied = len(batch)
 		}
-		// Delegation order matters for retry safety: a BatchIngester (the
-		// sharded router) tracks the ID per shard, an atomic appender (the
-		// durable DB) commits all-or-nothing, and only the plain in-memory
-		// Notary takes the item loop, where partial application is harmless
-		// because Observe never fails.
-		var err error
-		switch ing := s.ing.(type) {
-		case BatchIngester:
-			err = ing.ObserveBatch(req.ID, batch)
-		case batchAppender:
-			err = ing.Append(batch)
-		default:
-			for _, o := range batch {
-				if err = s.ing.Observe(o); err != nil {
-					break
-				}
-			}
-		}
-		if err != nil {
-			s.forget(req.ID)
-			s.obs.Counter(KeyIngestRejected).Inc()
-			return Response{Error: "observe_batch: " + err.Error()}
-		}
-		s.obs.Counter(KeyIngestTotal).Add(int64(len(batch)))
-		return Response{OK: true, Applied: len(batch)}
+		return resp
 
 	case "has_record":
 		cert, err := DecodeCert(req.Cert)
@@ -401,4 +237,24 @@ func (s *Server) dispatch(req Request) Response {
 		s.obs.Counter(KeyBadRequest).Inc()
 		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
+}
+
+// observeBatch hands a decoded batch to the write path. Delegation order
+// matters for retry safety: a BatchIngester (the sharded router) tracks
+// the ID per shard, an atomic appender (the durable DB) commits
+// all-or-nothing, and only the plain in-memory Notary takes the item loop,
+// where partial application is harmless because Observe never fails.
+func (s *Server) observeBatch(id string, batch []notary.Observation) error {
+	switch ing := s.ing.(type) {
+	case BatchIngester:
+		return ing.ObserveBatch(id, batch)
+	case batchAppender:
+		return ing.Append(batch)
+	}
+	for _, o := range batch {
+		if err := s.ing.Observe(o); err != nil {
+			return err
+		}
+	}
+	return nil
 }

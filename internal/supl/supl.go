@@ -24,6 +24,7 @@ import (
 	"tangledmass/internal/certgen"
 	"tangledmass/internal/chain"
 	"tangledmass/internal/rootstore"
+	"tangledmass/internal/wire"
 )
 
 // CellID identifies one observed cellular base station.
@@ -55,14 +56,11 @@ type AssistanceData struct {
 var ErrChannelUntrusted = errors.New("supl: assistance channel does not chain to a trusted SUPL root")
 
 // Server is the assistance endpoint: one TLS listener answering each
-// connection's LocationRequest with AssistanceData.
+// connection's LocationRequest with AssistanceData. Each connection gets
+// 30 seconds; Close expires pending reads rather than waiting them out.
 type Server struct {
-	ln   net.Listener
+	*wire.Listener
 	cred tls.Certificate
-
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
 
 	// Requests retains received queries — demonstrating exactly what the
 	// operator of a SUPL service (or anyone who could intercept it) learns.
@@ -73,37 +71,17 @@ type Server struct {
 // NewServer starts a SUPL server on 127.0.0.1 using the given service
 // credential (a certificate chaining to the SUPL root).
 func NewServer(service *certgen.Issued) (*Server, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("supl: listening: %w", err)
-	}
 	s := &Server{
-		ln: ln,
 		cred: tls.Certificate{
 			Certificate: [][]byte{service.Cert.Raw},
 			PrivateKey:  service.Key,
 		},
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-// Addr returns host:port.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the server.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
+	var err error
+	if s.Listener, err = wire.Listen("127.0.0.1:0", s.handle); err != nil {
+		return nil, fmt.Errorf("supl: listening: %w", err)
 	}
-	s.closed = true
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
+	return s, nil
 }
 
 // ObservedRequests returns the location context the service has collected.
@@ -115,38 +93,26 @@ func (s *Server) ObservedRequests() []LocationRequest {
 	return out
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
-				return
-			}
-			tconn := tls.Server(conn, &tls.Config{Certificates: []tls.Certificate{s.cred}})
-			if err := tconn.Handshake(); err != nil {
-				return
-			}
-			var req LocationRequest
-			if err := json.NewDecoder(tconn).Decode(&req); err != nil {
-				return
-			}
-			s.reqMu.Lock()
-			s.requests = append(s.requests, req)
-			s.reqMu.Unlock()
-			if err := json.NewEncoder(tconn).Encode(assist(req)); err != nil {
-				return
-			}
-			// Best-effort close_notify; the raw conn close is deferred.
-			_ = tconn.Close()
-		}()
+func (s *Server) handle(conn net.Conn) {
+	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		return
 	}
+	tconn := tls.Server(conn, &tls.Config{Certificates: []tls.Certificate{s.cred}})
+	if err := tconn.Handshake(); err != nil {
+		return
+	}
+	var req LocationRequest
+	if err := json.NewDecoder(tconn).Decode(&req); err != nil {
+		return
+	}
+	s.reqMu.Lock()
+	s.requests = append(s.requests, req)
+	s.reqMu.Unlock()
+	if err := json.NewEncoder(tconn).Encode(assist(req)); err != nil {
+		return
+	}
+	// Best-effort close_notify; the listener closes the raw conn.
+	_ = tconn.Close()
 }
 
 // assist derives deterministic assistance data from the request — a toy

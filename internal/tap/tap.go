@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 
 	"tangledmass/internal/notary"
+	"tangledmass/internal/wire"
 )
 
 // Observer receives extracted chains. *notary.Notary satisfies it; tapd
@@ -19,16 +19,19 @@ type Observer interface {
 
 // Tap is a passive network monitor: a TCP relay that forwards every byte
 // untouched while the stream parser lifts certificate chains out of the
-// server-to-client direction and hands them to an Observer.
+// server-to-client direction and hands them to an Observer. Clients
+// connect to Addr instead of the upstream; a real deployment mirrors
+// packets instead.
+//
+// Close expires pending reads on the client legs, which the listener
+// tracks. The upstream leg is not a tracked connection: a relay whose
+// client leg expires half-closes its upstream, and Close completes once
+// the upstream answers that half-close, as a TLS origin does.
 type Tap struct {
-	ln       net.Listener
-	upstream string
-	notary   Observer
-	port     int
-
-	mu        sync.Mutex
-	closed    bool
-	wg        sync.WaitGroup
+	*wire.Listener
+	upstream  string
+	notary    Observer
+	port      int
 	extracted atomic.Int64
 }
 
@@ -36,56 +39,20 @@ type Tap struct {
 // Extracted chains are observed into n as traffic on logicalPort (the
 // service port the monitored link carries, e.g. 443).
 func New(upstream string, n Observer, logicalPort int) (*Tap, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	t := &Tap{upstream: upstream, notary: n, port: logicalPort}
+	var err error
+	if t.Listener, err = wire.Listen("127.0.0.1:0", t.relay); err != nil {
 		return nil, fmt.Errorf("tap: listening: %w", err)
 	}
-	t := &Tap{ln: ln, upstream: upstream, notary: n, port: logicalPort}
-	t.wg.Add(1)
-	go t.acceptLoop()
 	return t, nil
 }
-
-// Addr returns the tap's listening address (clients connect here instead of
-// the upstream; a real deployment mirrors packets instead).
-func (t *Tap) Addr() string { return t.ln.Addr().String() }
 
 // Extracted returns how many chains the tap has lifted so far.
 func (t *Tap) Extracted() int64 { return t.extracted.Load() }
 
-// Close stops the tap.
-func (t *Tap) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	t.mu.Unlock()
-	err := t.ln.Close()
-	t.wg.Wait()
-	return err
-}
-
-func (t *Tap) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return
-		}
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			t.relay(conn)
-		}()
-	}
-}
-
 // relay forwards bytes both ways; the server→client leg runs through the
 // stream parser.
 func (t *Tap) relay(client net.Conn) {
-	defer client.Close()
 	server, err := net.Dial("tcp", t.upstream)
 	if err != nil {
 		return
@@ -125,7 +92,7 @@ func (t *Tap) relay(client net.Conn) {
 				break
 			}
 		}
-		if cw, ok := client.(*net.TCPConn); ok {
+		if cw, ok := client.(interface{ CloseWrite() error }); ok {
 			_ = cw.CloseWrite()
 		}
 		done <- struct{}{}

@@ -6,72 +6,35 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
-	"time"
+
+	"tangledmass/internal/wire"
 )
 
 // Server is the in-process TLS origin for every named site: one loopback
 // listener that selects the serving certificate by SNI, so a client can
 // reach any site through a single address. It stands in for "the internet"
-// when the measurement client or the interception proxy dials out.
+// when the measurement client or the interception proxy dials out. Close
+// expires pending reads, so a client that connected but never finished its
+// handshake does not hold it up.
 type Server struct {
-	ln    net.Listener
+	*wire.Listener
 	sites *Sites
-
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // ServeSites starts a TLS server on 127.0.0.1 (ephemeral port) serving every
 // site in sites, chosen by SNI. Close must be called to release it.
 func ServeSites(sites *Sites) (*Server, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	s := &Server{sites: sites}
+	var err error
+	if s.Listener, err = wire.Listen("127.0.0.1:0", s.handle); err != nil {
 		return nil, fmt.Errorf("tlsnet: listening: %w", err)
 	}
-	s := &Server{ln: ln, sites: sites}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
-}
-
-// Addr returns the server's host:port.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the server and waits for in-flight connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
 }
 
 var errUnknownSite = errors.New("tlsnet: no certificate for requested server name")
 
 func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
 	tconn := tls.Server(conn, &tls.Config{
 		GetCertificate: func(hello *tls.ClientHelloInfo) (*tls.Certificate, error) {
 			site := s.sites.LookupHost(hello.ServerName)
@@ -106,6 +69,5 @@ type DirectDialer struct {
 
 // DialSite implements Dialer.
 func (d DirectDialer) DialSite(ctx context.Context, host string, port int) (net.Conn, error) {
-	dialer := &net.Dialer{Timeout: 10 * time.Second}
-	return dialer.DialContext(ctx, "tcp", d.Server.Addr())
+	return wire.DialTCP(ctx, d.Server.Addr())
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -315,5 +316,43 @@ func TestWorldContentPinned(t *testing.T) {
 				t.Errorf("seed %d, GOMAXPROCS %d: world digest %s, want %s", seed, procs, got, want[seed])
 			}
 		}
+	}
+}
+
+// TestCloseWithSilentClient: a client that connects and never sends its
+// ClientHello must not hold up Close — the handshake's read is expired.
+func TestCloseWithSilentClient(t *testing.T) {
+	sites, err := NewSites(smallWorld(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ServeSites(sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// Connections are accepted in arrival order, so once a later client's
+	// handshake completes the silent one is already being served.
+	probe, err := tls.Dial("tcp", srv.Addr(), &tls.Config{ServerName: "www.google.com", InsecureSkipVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Close()
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		silent.Close()
+		<-closed
+		t.Fatal("Close waited on a client that never sent its ClientHello")
 	}
 }

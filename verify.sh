@@ -1,8 +1,8 @@
 #!/bin/sh
-# verify.sh is the repo's correctness gate: build, vet, the repo-aware
-# static-analysis suite, and the race-enabled tests, in that order. Each
-# stage must pass before the next runs; the script fails on the first
-# broken stage.
+# verify.sh is the repo's correctness gate: build, vet, formatting, the
+# repo-aware static-analysis suite, brief fuzzing of the wire request
+# decoders, and the race-enabled tests, in that order. Each stage must
+# pass before the next runs; the script fails on the first broken stage.
 set -eu
 
 cd "$(dirname "$0")"
@@ -12,6 +12,15 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+# Every Go file in the tree, the benchmark module included, is gofmt-clean.
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 # perfbench/ is its own module (it builds against this checkout through a
 # replace directive), so the root's ./... never compiles it.
@@ -40,6 +49,13 @@ else
 	echo "==> crash: notary crashpoint recovery sweep"
 	go test -race -run TestCrashpointSweep ./internal/notary/
 fi
+
+# A brief run of each JSON-lines request fuzzer: a regression guard for
+# the decoders of untrusted wire input rather than a search. A failing
+# input is written under the package's testdata/fuzz/ for replay.
+echo "==> fuzz: collect and notarynet request lines, 10s each"
+go test -run '^$' -fuzz '^FuzzCollectRequest$' -fuzztime 10s ./internal/collect/
+go test -run '^$' -fuzz '^FuzzNotarynetRequest$' -fuzztime 10s ./internal/notarynet/
 
 echo "==> go test -race ./..."
 go test -race ./...
