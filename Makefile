@@ -8,7 +8,7 @@ GO ?= go
 # a different file with `make bench-gate BENCH_BASELINE=BENCH_prX.json`.
 BENCH_BASELINE ?= BENCH_pr10.json
 
-.PHONY: build test lint lint-baseline vet chaos crash metrics-smoke dataset-smoke bench bench-gate slo-gate verify ci
+.PHONY: build test lint lint-baseline vet chaos crash metrics-smoke dataset-smoke bench bench-gate slo-gate verify ci loc
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,12 @@ slo-gate:
 
 verify:
 	BENCH_BASELINE=$(BENCH_BASELINE) ./verify.sh
+
+# Non-test Go line count, leaving out the benchmark module, the lint
+# fixtures and the benchmark build cache: the size figure CHANGES.md and
+# ROADMAP.md cite.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './internal/lint/testdata/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Exactly what the CI verify job runs, for reproducing CI results locally:
 # the full verify chain with the machine-sensitive gates off (CI runners

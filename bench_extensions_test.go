@@ -1,8 +1,7 @@
 package tangledmass
 
 // Benchmarks for the extension subsystems (§8 recommendations, trust
-// levels, the networked Notary, active scanning, FOTA, pinning, dataset
-// I/O).
+// levels, the networked Notary, FOTA, pinning, dataset I/O).
 
 import (
 	"context"
@@ -25,7 +24,6 @@ import (
 	"tangledmass/internal/tap"
 	"tangledmass/internal/tlsnet"
 	"tangledmass/internal/trustlevel"
-	"tangledmass/internal/x509scan"
 )
 
 // BenchmarkRecommendMinimize measures one §8 pruning proposal (threshold 1)
@@ -88,33 +86,6 @@ func BenchmarkNotarynetObserve(b *testing.B) {
 		l := leaves[i%len(leaves)]
 		if err := c.Observe(context.Background(), l.Chain, l.Port); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScannerSweep measures an active scan of all probe targets over
-// loopback TLS.
-func BenchmarkScannerSweep(b *testing.B) {
-	f := benchFixtures(b)
-	sites, err := tlsnet.NewSites(f.world)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := tlsnet.ServeSites(sites)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	s := &x509scan.Scanner{Dialer: tlsnet.DirectDialer{Server: srv}, Concurrency: 8}
-	targets := tlsnet.ProbeTargets()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := s.Scan(context.Background(), targets)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sum := x509scan.Summarize(results); sum.Failed != 0 {
-			b.Fatalf("%d scan failures", sum.Failed)
 		}
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"tangledmass/internal/population"
 	"tangledmass/internal/resilient"
 	"tangledmass/internal/tlsnet"
-	"tangledmass/internal/trusteval"
 	"tangledmass/internal/wire"
 )
 
@@ -44,7 +43,6 @@ type config struct {
 	submitRetry   *resilient.Retrier
 	observer      *obs.Observer
 	now           func() time.Time
-	pins          trusteval.PinChecker
 }
 
 // Option configures a campaign run.
@@ -60,13 +58,6 @@ func WithNotary(addr string) Option {
 // interception proxy.
 func WithProxy(p *mitm.Proxy) Option {
 	return func(c *config) { c.proxy = p }
-}
-
-// WithPins enables the trust-evaluation engine's pin layer in every
-// session's client (typically a *pinning.Store built from the origin's
-// sites).
-func WithPins(p trusteval.PinChecker) Option {
-	return func(c *config) { c.pins = p }
 }
 
 // WithTargets sets the domains each session probes. The default is the full
@@ -93,13 +84,6 @@ func WithValidationTime(at time.Time) Option {
 // of worker interleaving.
 func WithFaults(in *faultnet.Injector) Option {
 	return func(c *config) { c.faults = in }
-}
-
-// WithFaultPlan is WithFaults for a bare plan: the campaign builds the
-// injector (and its ledger, reachable via the injector the caller keeps —
-// so prefer WithFaults when the ledger matters).
-func WithFaultPlan(plan faultnet.Plan) Option {
-	return func(c *config) { c.faults = faultnet.New(plan) }
 }
 
 // WithProbeTimeout bounds one probe attempt (see netalyzr.WithProbeTimeout).
@@ -285,9 +269,6 @@ func (cfg *config) runSession(ctx context.Context, s *population.Session, scope 
 		// trust-evaluation engine inside the client applies the same
 		// policy the attribution analysis assumes for this session.
 		netalyzr.WithPolicy(s.Policy),
-	}
-	if cfg.pins != nil {
-		opts = append(opts, netalyzr.WithPins(cfg.pins))
 	}
 	if cfg.targets != nil {
 		opts = append(opts, netalyzr.WithTargets(cfg.targets))

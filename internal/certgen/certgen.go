@@ -58,7 +58,6 @@ func NewGenerator(seed int64) *Generator {
 
 type options struct {
 	org          []string
-	orgUnit      []string
 	country      []string
 	notBefore    time.Time
 	notAfter     time.Time
@@ -77,11 +76,6 @@ type Option func(*options)
 // WithOrganization sets the subject O attribute.
 func WithOrganization(org ...string) Option {
 	return func(o *options) { o.org = org }
-}
-
-// WithOrganizationalUnit sets the subject OU attribute.
-func WithOrganizationalUnit(ou ...string) Option {
-	return func(o *options) { o.orgUnit = ou }
 }
 
 // WithCountry sets the subject C attribute.
@@ -280,10 +274,9 @@ func applyOptions(opts []Option) options {
 
 func subjectName(cn string, o options) pkix.Name {
 	return pkix.Name{
-		CommonName:         cn,
-		Organization:       o.org,
-		OrganizationalUnit: o.orgUnit,
-		Country:            o.country,
+		CommonName:   cn,
+		Organization: o.org,
+		Country:      o.country,
 	}
 }
 
@@ -442,7 +435,6 @@ func (g *Generator) Reissue(orig *Issued, opts ...Option) (*Issued, error) {
 	o.isCA = orig.Cert.IsCA
 	o.keyName = orig.Cert.Subject.CommonName
 	o.org = orig.Cert.Subject.Organization
-	o.orgUnit = orig.Cert.Subject.OrganizationalUnit
 	o.country = orig.Cert.Subject.Country
 	// Force the cached key type to match the original.
 	if _, isRSA := orig.Key.Public().(*rsa.PublicKey); isRSA && o.rsaBits == 0 {

@@ -16,13 +16,12 @@ type Client struct {
 }
 
 // NewClient connects to a collector. The initial connect already runs
-// under the retry policy, bounded by ctx. Options: WithTimeout,
-// WithRetryPolicy, WithDialFunc, WithObserver.
+// under the retry policy, bounded by ctx. Options: WithRetryPolicy,
+// WithDialFunc, WithObserver.
 func NewClient(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 	op := buildOptions(opts)
 	wc, err := wire.Dial(ctx, addr, wire.Config{
 		Name:     "collect",
-		Timeout:  op.timeout,
 		Dial:     op.dial,
 		Retry:    op.retry,
 		Observer: op.observer,

@@ -18,6 +18,7 @@
 package faultfs
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -86,29 +87,10 @@ func (diskFS) SyncDir(dir string) error {
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil && errorsIsEINVAL(err) {
+	if errors.Is(err, syscall.EINVAL) {
 		return nil
 	}
 	return err
-}
-
-func errorsIsEINVAL(err error) bool {
-	var errno syscall.Errno
-	for {
-		if e, ok := err.(syscall.Errno); ok {
-			errno = e
-			break
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-		if err == nil {
-			return false
-		}
-	}
-	return errno == syscall.EINVAL
 }
 
 func (diskFS) ReadDir(dir string) ([]string, error) {

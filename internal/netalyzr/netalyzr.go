@@ -72,7 +72,6 @@ type Client struct {
 	obs     *obs.Observer
 	session string
 	policy  device.ValidationPolicy
-	pins    trusteval.PinChecker
 	engine  *trusteval.Engine
 }
 
@@ -124,18 +123,6 @@ func WithPolicy(p device.ValidationPolicy) Option {
 	return func(c *Client) { c.policy = p }
 }
 
-// WithPins enables the engine's pin layer (typically a *pinning.Store).
-func WithPins(p trusteval.PinChecker) Option {
-	return func(c *Client) { c.pins = p }
-}
-
-// WithEngine shares an externally-built trust-evaluation engine (and its
-// verifier memo / chain cache) across sessions. The default builds a
-// per-client engine from the client's validation time, pins and observer.
-func WithEngine(e *trusteval.Engine) Option {
-	return func(c *Client) { c.engine = e }
-}
-
 // New builds a measurement client for the handset and its network path —
 // direct to the origin, or through an interception proxy when the device's
 // traffic is tunneled (§7).
@@ -157,11 +144,7 @@ func New(dev *device.Device, dialer tlsnet.Dialer, opts ...Option) (*Client, err
 			MaxDelay:    200 * time.Millisecond,
 		}, 0).WithObserver(c.obs)
 	}
-	if c.engine == nil {
-		c.engine = trusteval.New(c.at,
-			trusteval.WithPins(c.pins),
-			trusteval.WithObserver(c.obs))
-	}
+	c.engine = trusteval.New(c.at, trusteval.WithObserver(c.obs))
 	return c, nil
 }
 

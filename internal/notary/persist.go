@@ -29,27 +29,26 @@ import (
 //   - v3 wraps the v2 payload in a crash-evident envelope: a fixed magic
 //     prefix and a SHA-256 trailer over everything before it. A torn or
 //     bit-flipped snapshot fails the checksum instead of decoding into
-//     silently partial state. Load accepts all three.
+//     silently partial state.
 //
-// The struct is the superset of the gob formats: gob leaves fields absent
-// from the stream at their zero values, so one decoder serves every
-// version.
+// Save writes v3 and Load reads v3 only; the bare-gob v1/v2 layouts are no
+// longer accepted. Earlier v3 writers declared a per-entry DER field
+// (always empty in v3); gob skips stream fields the struct lacks, so their
+// snapshots still load.
 type snapshot struct {
 	// Version guards the format.
 	Version int
 	At      time.Time
 	// Sessions is the observation count.
 	Sessions int64
-	// DER is the deduplicated certificate table (v2+): one encoding per
-	// distinct certificate, ordered by SHA-1 fingerprint.
+	// DER is the deduplicated certificate table: one encoding per distinct
+	// certificate, ordered by SHA-1 fingerprint.
 	DER     [][]byte
 	Entries []snapshotEntry
 }
 
 type snapshotEntry struct {
-	// DER is the certificate encoding, inline (v1 snapshots only).
-	DER []byte
-	// Cert indexes the snapshot's DER table (v2+).
+	// Cert indexes the snapshot's DER table.
 	Cert       int
 	SeenAsLeaf bool
 	FromStore  bool
@@ -68,9 +67,7 @@ type portCount struct {
 
 const snapshotVersion = 3
 
-// snapshotMagic opens every v3 snapshot. Legacy v1/v2 files are bare gob
-// streams; gob's own framing can never begin with this byte sequence, so
-// the prefix is an unambiguous version switch.
+// snapshotMagic opens every v3 snapshot.
 const snapshotMagic = "TANGLED-NOTARY-SNAP3\n"
 
 // Save writes the database to w in the v3 checksummed format: magic
@@ -123,11 +120,11 @@ type sortRef struct {
 	ref corpus.Ref
 }
 
-// Load reads a database written by Save — the checksummed v3 envelope or
-// the legacy v1/v2 bare-gob layouts. The snapshot's reference time is
-// restored with it. A v3 snapshot that is truncated or corrupted anywhere
-// fails the SHA-256 check; legacy snapshots are rejected on any decode,
-// version, index, or certificate-parse inconsistency rather than loaded
+// Load reads a database written by Save. The snapshot's reference time is
+// restored with it. Input without the v3 magic prefix is rejected, and a
+// snapshot that is truncated or corrupted anywhere fails the SHA-256
+// check. A sealed snapshot is still rejected on any version, index,
+// duplicate-entry or certificate-parse inconsistency rather than loaded
 // partially. Certificates are interned through the corpus on the way in;
 // opts are applied to the restored Notary (e.g. WithCorpus, WithObserver).
 func Load(r io.Reader, opts ...Option) (*Notary, error) {
@@ -135,45 +132,41 @@ func Load(r io.Reader, opts ...Option) (*Notary, error) {
 	if err != nil {
 		return nil, fmt.Errorf("notary: reading snapshot: %w", err)
 	}
+	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
+		return nil, fmt.Errorf("notary: not a v3 snapshot (missing magic prefix)")
+	}
+	if len(data) < len(snapshotMagic)+sha256.Size {
+		return nil, fmt.Errorf("notary: snapshot truncated before checksum trailer (%d bytes)", len(data))
+	}
+	body, trailer := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
+	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], trailer) {
+		return nil, fmt.Errorf("notary: snapshot checksum mismatch (torn or corrupted write)")
+	}
 	var snap snapshot
-	if bytes.HasPrefix(data, []byte(snapshotMagic)) {
-		if len(data) < len(snapshotMagic)+sha256.Size {
-			return nil, fmt.Errorf("notary: snapshot truncated before checksum trailer (%d bytes)", len(data))
-		}
-		body, trailer := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-		if sum := sha256.Sum256(body); !bytes.Equal(sum[:], trailer) {
-			return nil, fmt.Errorf("notary: snapshot checksum mismatch (torn or corrupted write)")
-		}
-		if err := gob.NewDecoder(bytes.NewReader(body[len(snapshotMagic):])).Decode(&snap); err != nil {
-			return nil, fmt.Errorf("notary: decoding v3 snapshot: %w", err)
-		}
-		if snap.Version != snapshotVersion {
-			return nil, fmt.Errorf("notary: v3 envelope carries version %d", snap.Version)
-		}
-	} else {
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-			return nil, fmt.Errorf("notary: decoding snapshot: %w", err)
-		}
-		if snap.Version < 1 || snap.Version > 2 {
-			return nil, fmt.Errorf("notary: unsupported snapshot version %d", snap.Version)
-		}
+	if err := gob.NewDecoder(bytes.NewReader(body[len(snapshotMagic):])).Decode(&snap); err != nil {
+		return nil, fmt.Errorf("notary: decoding v3 snapshot: %w", err)
+	}
+	if snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("notary: v3 envelope carries version %d", snap.Version)
 	}
 	if snap.Sessions < 0 {
 		return nil, fmt.Errorf("notary: snapshot carries negative session count %d", snap.Sessions)
 	}
 	n := New(snap.At, opts...)
 	n.sessions = snap.Sessions
-	for _, se := range snap.Entries {
-		der := se.DER
-		if snap.Version >= 2 {
-			if se.Cert < 0 || se.Cert >= len(snap.DER) {
-				return nil, fmt.Errorf("notary: snapshot entry references certificate %d of %d", se.Cert, len(snap.DER))
-			}
-			der = snap.DER[se.Cert]
+	for i, se := range snap.Entries {
+		if se.Cert < 0 || se.Cert >= len(snap.DER) {
+			return nil, fmt.Errorf("notary: snapshot entry references certificate %d of %d", se.Cert, len(snap.DER))
 		}
-		ref, err := n.c.Intern(der)
+		ref, err := n.c.Intern(snap.DER[se.Cert])
 		if err != nil {
 			return nil, fmt.Errorf("notary: snapshot certificate: %w", err)
+		}
+		// Save writes one entry per certificate; a second entry for the
+		// same certificate (one index listed twice, or one DER stored at
+		// two indices) would silently overwrite the first.
+		if _, dup := n.entries[ref]; dup {
+			return nil, fmt.Errorf("notary: snapshot entry %d repeats the certificate of an earlier entry", i)
 		}
 		e := n.entryRef(ref)
 		e.SeenAsLeaf = se.SeenAsLeaf

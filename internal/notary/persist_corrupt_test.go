@@ -2,7 +2,6 @@ package notary_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"io"
 	"strings"
 	"testing"
@@ -56,69 +55,47 @@ func TestLoadV3RejectsBitFlips(t *testing.T) {
 	}
 }
 
-// TestLoadV2RejectsCorruption: legacy v2 snapshots have no checksum, but
-// structural damage — truncation anywhere, or corruption inside a DER
-// entry — must still be rejected rather than half-loaded.
-func TestLoadV2RejectsCorruption(t *testing.T) {
+// TestLoadRejectsCorruption: structural damage inside a correctly sealed
+// snapshot — a certificate that no longer parses, a negative session
+// count — passes the checksum and must still be rejected rather than
+// half-loaded.
+func TestLoadRejectsCorruption(t *testing.T) {
 	g := certgen.NewGenerator(81)
-	root, err := g.SelfSignedCA("V2 Corrupt Root")
+	root, err := g.SelfSignedCA("Corrupt Root")
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := g.Leaf(root, "v2corrupt.example.com")
+	leaf, err := g.Leaf(root, "corrupt.example.com")
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := v2Snapshot{
-		Version:  2,
+	pristine := sealedSnapshot{
+		Version:  3,
 		At:       certgen.Epoch,
 		Sessions: 3,
 		DER:      [][]byte{leaf.Cert.Raw, root.Cert.Raw},
-		Entries: []v2Entry{
+		Entries: []sealedEntry{
 			{Cert: 0, SeenAsLeaf: true, Sessions: 3},
 			{Cert: 1, Sessions: 3},
 		},
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	snap := buf.Bytes()
-	if _, err := notary.Load(bytes.NewReader(snap)); err != nil {
-		t.Fatalf("pristine v2 snapshot rejected: %v", err)
+	if _, err := notary.Load(bytes.NewReader(seal(t, pristine))); err != nil {
+		t.Fatalf("pristine sealed snapshot rejected: %v", err)
 	}
 
-	t.Run("truncation", func(t *testing.T) {
-		for _, cut := range []int{1, 10, len(snap) / 2, len(snap) - 1} {
-			if _, err := notary.Load(bytes.NewReader(snap[:cut])); err == nil {
-				t.Errorf("v2 snapshot truncated to %d of %d bytes accepted", cut, len(snap))
-			}
-		}
-	})
 	t.Run("der corruption", func(t *testing.T) {
-		// Find the leaf's DER inside the gob stream and break its inner
-		// structure; the certificate parse on the way into the corpus must
-		// refuse it.
-		at := bytes.Index(snap, leaf.Cert.Raw)
-		if at < 0 {
-			t.Fatal("DER bytes not found in gob stream")
-		}
-		mut := append([]byte(nil), snap...)
-		mut[at+len(leaf.Cert.Raw)/2] ^= 0xFF
-		if _, err := notary.Load(bytes.NewReader(mut)); err == nil {
-			t.Error("v2 snapshot with corrupted DER accepted")
-		}
+		// Break the leaf's inner structure; the certificate parse on the
+		// way into the corpus must refuse it.
+		bad := append([]byte(nil), leaf.Cert.Raw...)
+		bad[len(bad)/2] ^= 0xFF
+		snap := pristine
+		snap.DER = [][]byte{bad, root.Cert.Raw}
+		wantLoadErr(t, seal(t, snap), "snapshot certificate")
 	})
 	t.Run("negative sessions", func(t *testing.T) {
-		neg := legacy
-		neg.Sessions = -1
-		var b bytes.Buffer
-		if err := gob.NewEncoder(&b).Encode(neg); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := notary.Load(&b); err == nil {
-			t.Error("v2 snapshot with negative session count accepted")
-		}
+		snap := pristine
+		snap.Sessions = -1
+		wantLoadErr(t, seal(t, snap), "negative session count")
 	})
 }
 

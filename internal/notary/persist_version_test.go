@@ -2,7 +2,9 @@ package notary_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,91 +12,95 @@ import (
 	"tangledmass/internal/notary"
 )
 
-// The v1 on-disk layout, reconstructed field-for-field: each entry carried
-// its DER inline, there was no top-level certificate table. gob matches
-// struct fields by name, so encoding these decodes through the current
-// superset snapshot struct exactly as a real v1 file would.
-type v1Snapshot struct {
+const snapMagic = "TANGLED-NOTARY-SNAP3\n"
+
+// sealedSnapshot is the v3 payload reconstructed field for field. gob
+// matches struct fields by name, so sealing one of these produces the
+// bytes a real writer would — including payloads Save never writes.
+type sealedSnapshot struct {
 	Version  int
 	At       time.Time
 	Sessions int64
-	Entries  []v1Entry
+	DER      [][]byte
+	Entries  []sealedEntry
 }
 
-type v1Entry struct {
+// sealedEntry is the entry type as earlier v3 writers declared it: it
+// still names the inline DER field of v1, always empty in v3.
+type sealedEntry struct {
 	DER        []byte
+	Cert       int
 	SeenAsLeaf bool
 	FromStore  bool
 	Sessions   int64
 	FirstSeen  time.Time
 	LastSeen   time.Time
-	Ports      []v1Port
+	Ports      []sealedPort
 }
 
-type v1Port struct {
+type sealedPort struct {
 	Port  int
 	Count int64
 }
 
-// The v2 layout, for crafting corrupt snapshots the public API can't
-// produce.
-type v2Snapshot struct {
-	Version  int
-	At       time.Time
-	Sessions int64
-	DER      [][]byte
-	Entries  []v2Entry
+// seal encodes snap in the v3 envelope with a valid SHA-256 trailer, so
+// Load gets past the checksum and reaches its structural checks.
+func seal(t *testing.T, snap sealedSnapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(snapMagic)
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return append(buf.Bytes(), sum[:]...)
 }
 
-type v2Entry struct {
-	Cert       int
-	SeenAsLeaf bool
-	Sessions   int64
+// wantLoadErr asserts that Load rejects data with an error naming want.
+func wantLoadErr(t *testing.T, data []byte, want string) {
+	t.Helper()
+	_, err := notary.Load(bytes.NewReader(data))
+	if err == nil {
+		t.Fatalf("snapshot accepted, want error containing %q", want)
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q, want one containing %q", err, want)
+	}
 }
 
-// TestLoadV1Snapshot writes a legacy inline-DER snapshot and checks the
-// current Load restores it with full fidelity, then upgrades it: re-saving
-// the loaded database and loading that must preserve everything again.
-func TestLoadV1Snapshot(t *testing.T) {
+// TestLoadV3WithRetiredDERField loads a snapshot whose entry type still
+// declares the retired inline DER field, as earlier v3 writers did, and
+// checks full fidelity, then re-saves it in the current layout and checks
+// again.
+func TestLoadV3WithRetiredDERField(t *testing.T) {
 	g := certgen.NewGenerator(60)
-	root, err := g.SelfSignedCA("V1 Root")
+	root, err := g.SelfSignedCA("V3 Root")
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := g.Leaf(root, "v1.example.com")
+	leaf, err := g.Leaf(root, "v3.example.com")
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := certgen.Epoch.Add(24 * time.Hour)
-	legacy := v1Snapshot{
-		Version:  1,
+	snap := seal(t, sealedSnapshot{
+		Version:  3,
 		At:       certgen.Epoch,
 		Sessions: 7,
-		Entries: []v1Entry{
+		DER:      [][]byte{leaf.Cert.Raw, root.Cert.Raw},
+		Entries: []sealedEntry{
 			{
-				DER:        leaf.Cert.Raw,
+				Cert:       0,
 				SeenAsLeaf: true,
 				Sessions:   7,
 				FirstSeen:  certgen.Epoch,
 				LastSeen:   seen,
-				Ports:      []v1Port{{Port: 443, Count: 5}, {Port: 993, Count: 2}},
+				Ports:      []sealedPort{{Port: 443, Count: 5}, {Port: 993, Count: 2}},
 			},
-			{
-				DER:       root.Cert.Raw,
-				FromStore: true,
-			},
+			{Cert: 1, FromStore: true},
 		},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-
-	n, err := notary.Load(&buf)
-	if err != nil {
-		t.Fatalf("loading v1 snapshot: %v", err)
-	}
-	checkV1Contents := func(n *notary.Notary, label string) {
+	})
+	check := func(n *notary.Notary, label string) {
 		t.Helper()
 		if n.NumUnique() != 2 || n.Sessions() != 7 {
 			t.Fatalf("%s: unique/sessions = %d/%d, want 2/7", label, n.NumUnique(), n.Sessions())
@@ -117,18 +123,21 @@ func TestLoadV1Snapshot(t *testing.T) {
 			t.Fatalf("%s: root entry = %+v", label, re)
 		}
 	}
-	checkV1Contents(n, "v1 load")
 
-	// Upgrade: re-save writes the current format; nothing may be lost.
-	var v2 bytes.Buffer
-	if err := n.Save(&v2); err != nil {
+	n, err := notary.Load(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatalf("loading snapshot with retired DER field: %v", err)
+	}
+	check(n, "load")
+	var resaved bytes.Buffer
+	if err := n.Save(&resaved); err != nil {
 		t.Fatal(err)
 	}
-	back, err := notary.Load(&v2)
+	back, err := notary.Load(&resaved)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkV1Contents(back, "v2 reload")
+	check(back, "reload")
 }
 
 // TestSaveLoadSaveIdempotent pins the upgrade path as a fixed point: once a
@@ -153,15 +162,29 @@ func TestSaveLoadSaveIdempotent(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsBareGob: the legacy v1/v2 layouts were bare gob streams
+// without the envelope; Load refuses them before decoding anything.
+func TestLoadRejectsBareGob(t *testing.T) {
+	g := certgen.NewGenerator(62)
+	root, err := g.SelfSignedCA("Bare Gob Root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(sealedSnapshot{
+		Version: 2,
+		At:      certgen.Epoch,
+		DER:     [][]byte{root.Cert.Raw},
+		Entries: []sealedEntry{{Cert: 0, FromStore: true}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	wantLoadErr(t, buf.Bytes(), "missing magic prefix")
+}
+
 func TestLoadRejectsUnknownVersion(t *testing.T) {
-	for _, v := range []int{0, 3, 99} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v1Snapshot{Version: v}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := notary.Load(&buf); err == nil {
-			t.Errorf("version %d accepted", v)
-		}
+	for _, v := range []int{0, 1, 2, 4, 99} {
+		wantLoadErr(t, seal(t, sealedSnapshot{Version: v, At: certgen.Epoch}), "carries version")
 	}
 }
 
@@ -172,18 +195,45 @@ func TestLoadRejectsBadCertIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, idx := range []int{-1, 1, 5} {
-		bad := v2Snapshot{
-			Version: 2,
+		wantLoadErr(t, seal(t, sealedSnapshot{
+			Version: 3,
 			At:      certgen.Epoch,
 			DER:     [][]byte{root.Cert.Raw},
-			Entries: []v2Entry{{Cert: idx, SeenAsLeaf: true, Sessions: 1}},
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(bad); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := notary.Load(&buf); err == nil {
-			t.Errorf("certificate index %d accepted", idx)
-		}
+			Entries: []sealedEntry{{Cert: idx, SeenAsLeaf: true, Sessions: 1}},
+		}), "references certificate")
+	}
+}
+
+// TestLoadRejectsDuplicateEntry: Save writes one entry per certificate. A
+// sealed snapshot listing one certificate twice — the same index, or the
+// same DER at two indices — must be rejected, not loaded with the second
+// entry silently overwriting the first under a header that counts both.
+func TestLoadRejectsDuplicateEntry(t *testing.T) {
+	g := certgen.NewGenerator(63)
+	root, err := g.SelfSignedCA("Duplicate Root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := g.Leaf(root, "dup.example.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][][]byte{
+		"index listed twice": {leaf.Cert.Raw},
+		"der at two indices": {leaf.Cert.Raw, leaf.Cert.Raw},
+	}
+	for name, der := range cases {
+		t.Run(name, func(t *testing.T) {
+			wantLoadErr(t, seal(t, sealedSnapshot{
+				Version:  3,
+				At:       certgen.Epoch,
+				Sessions: 5,
+				DER:      der,
+				Entries: []sealedEntry{
+					{Cert: 0, SeenAsLeaf: true, Sessions: 4},
+					{Cert: len(der) - 1, Sessions: 1},
+				},
+			}), "repeats the certificate")
+		})
 	}
 }

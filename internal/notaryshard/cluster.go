@@ -151,9 +151,6 @@ func (cl *Cluster) At() time.Time { return cl.at }
 // Corpus returns the shared corpus.
 func (cl *Cluster) Corpus() *corpus.Corpus { return cl.c }
 
-// ShardNotary exposes shard i's notary for tests and diagnostics.
-func (cl *Cluster) ShardNotary(i int) *notary.Notary { return cl.shards[i].n }
-
 // ShardSnapshot captures shard i's private metrics.
 func (cl *Cluster) ShardSnapshot(i int) obs.Snapshot { return cl.shards[i].observer.Snapshot() }
 

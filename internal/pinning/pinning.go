@@ -9,6 +9,9 @@
 // certificate's SubjectPublicKeyInfo, and a host's pin set may match any
 // certificate in the presented chain (leaf, intermediate, or root), so CA
 // rotation below a pinned intermediate does not break the app.
+//
+// No production path builds a pin store: the package feeds trusteval's pin
+// layer in tests and benchmarks only.
 package pinning
 
 import (

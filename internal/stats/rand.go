@@ -35,12 +35,6 @@ func (s *Source) Int64n(n int64) int64 { return s.r.Int63n(n) }
 // Float64 returns a pseudo-random float64 in [0.0, 1.0).
 func (s *Source) Float64() float64 { return s.r.Float64() }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.r.Float64() < p }
 

@@ -3,9 +3,6 @@ package trusteval
 import (
 	"crypto/x509"
 	"errors"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"tangledmass/internal/certid"
@@ -58,33 +55,19 @@ type Verdict struct {
 }
 
 // Engine evaluates connections. Construct with New; the zero value is not
-// usable. An Engine is safe for concurrent use and is meant to be shared:
-// its verifier memo and (optional) chain cache amortize pool indexing and
-// path building across probes that see the same stores.
+// usable. An Engine keeps no state between evaluations beyond its
+// counters and is safe for concurrent use.
 type Engine struct {
 	at        time.Time
 	reference *rootstore.Store
 	pins      PinChecker
-	cache     *chain.Cache
 
 	evals     *obs.Counter
 	accepted  *obs.Counter
 	rejected  *obs.Counter
 	overrides *obs.Counter
 	causes    map[Cause]*obs.Counter
-
-	// verifiers memoizes constructed verifiers by trust configuration
-	// (store content + presented intermediates). Campaign sessions probe
-	// several targets against one effective store; the memo makes the
-	// second probe reuse the first probe's indexed pool.
-	mu        sync.Mutex
-	verifiers map[string]*chain.Verifier
 }
-
-// maxVerifierMemo bounds the verifier memo; reaching it clears the map
-// (the memo is a per-session working set, not a long-lived cache — the
-// chain.Cache carries cross-session reuse).
-const maxVerifierMemo = 256
 
 // Option configures an Engine.
 type Option func(*Engine)
@@ -97,19 +80,10 @@ func WithReference(ref *rootstore.Store) Option {
 }
 
 // WithPins attaches a pin store (typically *pinning.Store) enabling the pin
-// layer. Without one the pin outcome is always OutcomeSkipped.
+// layer. Without one the pin outcome is always OutcomeSkipped. No
+// production path sets it: the pin layer runs only in tests.
 func WithPins(p PinChecker) Option {
 	return func(e *Engine) { e.pins = p }
-}
-
-// WithChainCache shares a chain-validation LRU across evaluations. The
-// cache key is (pool fingerprint, leaf handle) and the memoized value is
-// the set of reachable roots — facts about the store and the bytes on the
-// wire only. Policy is applied after the lookup, so one entry safely
-// serves apps with different policies: the same miss/hit sequence yields
-// distinct verdicts per policy (pinned by the cache-invariance test).
-func WithChainCache(c *chain.Cache) Option {
-	return func(e *Engine) { e.cache = c }
 }
 
 // WithObserver attaches trusteval.* counters to o (nil is a no-op).
@@ -131,7 +105,7 @@ func WithObserver(o *obs.Observer) Option {
 
 // New returns an Engine evaluating validity at the instant at.
 func New(at time.Time, opts ...Option) *Engine {
-	e := &Engine{at: at, verifiers: make(map[string]*chain.Verifier)}
+	e := &Engine{at: at}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -140,34 +114,6 @@ func New(at time.Time, opts ...Option) *Engine {
 
 // At returns the reference instant used for validity checks.
 func (e *Engine) At() time.Time { return e.at }
-
-// verifierFor returns a (possibly memoized) verifier trusting the store's
-// membership and able to cross the given intermediate handles.
-func (e *Engine) verifierFor(s *rootstore.Store, inters []corpus.Ref) *chain.Verifier {
-	var key strings.Builder
-	key.WriteString(s.ContentKey())
-	key.WriteByte('|')
-	key.WriteString(strconv.FormatUint(s.Corpus().ID(), 10))
-	for _, r := range inters {
-		key.WriteByte(',')
-		key.WriteString(strconv.FormatUint(uint64(r), 10))
-	}
-	k := key.String()
-	e.mu.Lock()
-	v, ok := e.verifiers[k]
-	e.mu.Unlock()
-	if ok {
-		return v
-	}
-	v = chain.NewVerifierFromStore(s, inters, e.at)
-	e.mu.Lock()
-	if len(e.verifiers) >= maxVerifierMemo {
-		e.verifiers = make(map[string]*chain.Verifier)
-	}
-	e.verifiers[k] = v
-	e.mu.Unlock()
-	return v
-}
 
 // internChain interns the presented intermediates into the store's corpus
 // and returns (leaf ref, intermediate refs).
@@ -202,8 +148,8 @@ func (e *Engine) Evaluate(req Request) Verdict {
 	}
 	leaf := req.Chain[0]
 	leafRef, inters := internChain(req.Store, req.Chain)
-	ver := e.verifierFor(req.Store, inters)
-	v.RootIDs = e.cache.ValidatingRootsRef(ver, leafRef)
+	ver := chain.NewVerifierFromStore(req.Store, inters, e.at)
+	v.RootIDs = ver.ValidatingRootIdentitiesRef(leafRef)
 	chainOK := len(v.RootIDs) > 0
 
 	var sig Signals
@@ -212,8 +158,8 @@ func (e *Engine) Evaluate(req Request) Verdict {
 		v.Chain = OutcomePass
 		if e.reference != nil {
 			refLeaf, refInters := internChain(e.reference, req.Chain)
-			refVer := e.verifierFor(e.reference, refInters)
-			v.AnchoredInReference = len(e.cache.ValidatingRootsRef(refVer, refLeaf)) > 0
+			refVer := chain.NewVerifierFromStore(e.reference, refInters, e.at)
+			v.AnchoredInReference = len(refVer.ValidatingRootIdentitiesRef(refLeaf)) > 0
 			sig.StoreTampered = !v.AnchoredInReference
 		}
 	case req.Policy.AcceptAll:

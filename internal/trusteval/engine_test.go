@@ -278,39 +278,6 @@ func TestEngineHostnameEdgeCases(t *testing.T) {
 	}
 }
 
-// TestChainCacheSharedAcrossPolicies pins the cache-soundness property the
-// tentpole calls out: the chain cache memoizes (store, leaf) facts only, so
-// one shared cache serves apps with different policies — same hit/miss
-// stream, distinct verdicts.
-func TestChainCacheSharedAcrossPolicies(t *testing.T) {
-	p := buildPKI(t)
-	cache := chain.NewCache(64)
-	e := trusteval.New(certgen.Epoch, trusteval.WithChainCache(cache))
-	req := trusteval.Request{Chain: forgedChain(p), Host: "good.example.com", Port: 443, Store: p.officials}
-
-	strict := e.Evaluate(req)
-	misses := cache.Stats().Misses
-	if misses == 0 {
-		t.Fatal("first evaluation never consulted the cache")
-	}
-
-	req.Policy = device.ValidationPolicy{App: "ad-sdk", AcceptAll: true}
-	relaxed := e.Evaluate(req)
-	st := cache.Stats()
-	if st.Misses != misses {
-		t.Errorf("second policy re-missed the cache (misses %d -> %d): entries must be policy-free", misses, st.Misses)
-	}
-	if st.Hits == 0 {
-		t.Error("second evaluation should hit the shared entry")
-	}
-	if strict.Accepted || !relaxed.Accepted {
-		t.Errorf("verdicts strict=%v relaxed=%v: policy must still differentiate outcomes", strict.Accepted, relaxed.Accepted)
-	}
-	if strict.Chain != trusteval.OutcomeFail || relaxed.Chain != trusteval.OutcomeOverridden {
-		t.Errorf("chain outcomes %v/%v, want fail/overridden", strict.Chain, relaxed.Chain)
-	}
-}
-
 func TestAttributePrecedenceAndPartition(t *testing.T) {
 	// Precedence: the first set signal in Causes() order wins.
 	all := trusteval.Signals{StoreTampered: true, AcceptAll: true, SkipHostname: true, BypassedPin: true}
