@@ -2,7 +2,7 @@
 // every session of a device population it runs a real Netalyzr execution —
 // store collection plus TLS probes over loopback — routes the §7 handset's
 // traffic through the interception proxy, submits every report to the
-// collection back end and streams observed chains to the notary. It is the
+// collection back end and sends observed chains to the notary. It is the
 // integration harness proving that the substrates compose: population →
 // device → netalyzr → (mitm) → collect/notarynet — including under injected
 // network faults.
@@ -48,8 +48,8 @@ type config struct {
 // Option configures a campaign run.
 type Option func(*config)
 
-// WithNotary streams every successful probe's chain to a notarynet server —
-// one sensor connection per session, as deployed.
+// WithNotary sends every successful probe's chain to a notarynet server —
+// one sensor connection and one observe_batch request per session.
 func WithNotary(addr string) Option {
 	return func(c *config) { c.notaryAddr = addr }
 }
@@ -128,7 +128,8 @@ type Stats struct {
 	// SubmitFailed counts session reports lost even after retries — the
 	// campaign degrades and carries on rather than aborting.
 	SubmitFailed int
-	// ObserveFailed counts notary observations lost even after retries.
+	// ObserveFailed counts notary observations lost even after retries: a
+	// session's batch that fails loses every chain it carried.
 	ObserveFailed   int
 	UntrustedProbes int
 	// MisvalidatedProbes counts untrusted probes that the session's app
@@ -309,18 +310,20 @@ func (cfg *config) submit(ctx context.Context, rep *netalyzr.Report, scope strin
 	return cl.Submit(ctx, rep)
 }
 
-// observe streams the session's successfully captured chains to the notary,
-// returning how many observations were lost after retries. The breaker is
-// disabled: its cooldown is wall-clock, which would make outcomes depend on
-// scheduling rather than the fault plan.
-func (cfg *config) observe(ctx context.Context, rep *netalyzr.Report, scope string) (lost int) {
+// observe sends the session's successfully captured chains to the notary
+// as one batch — one round trip under one idempotency ID, which the
+// sharded notary commits per shard in parallel — returning how many
+// observations were lost after retries. The breaker is disabled: its
+// cooldown is wall-clock, which would make outcomes depend on scheduling
+// rather than the fault plan.
+func (cfg *config) observe(ctx context.Context, rep *netalyzr.Report, scope string) int {
 	if cfg.notaryAddr == "" {
 		return 0
 	}
-	var captured []netalyzr.ProbeResult
+	var captured []notarynet.ChainObservation
 	for _, p := range rep.Probes {
 		if p.Err == nil && len(p.Chain) > 0 {
-			captured = append(captured, p)
+			captured = append(captured, notarynet.ChainObservation{Chain: p.Chain, Port: p.Target.Port})
 		}
 	}
 	if len(captured) == 0 {
@@ -339,10 +342,8 @@ func (cfg *config) observe(ctx context.Context, rep *netalyzr.Report, scope stri
 		return len(captured)
 	}
 	defer nc.Close()
-	for _, p := range captured {
-		if err := nc.Observe(ctx, p.Chain, p.Target.Port); err != nil {
-			lost++
-		}
+	if err := nc.ObserveBatch(ctx, captured); err != nil {
+		return len(captured)
 	}
-	return lost
+	return 0
 }

@@ -18,11 +18,13 @@ package chain
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"crypto/x509"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,20 +50,32 @@ type Verifier struct {
 	maxDepth int
 	c        *corpus.Corpus
 
-	roots     map[certid.Identity]corpus.Ref
-	bySubject map[string][]corpus.Ref // issuer candidates: roots + intermediates
-
-	// rootSum and poolSum are XOR accumulators over member content
-	// digests, maintained as the pool is indexed — the order-independent
-	// inputs to PoolKey, replacing the sort+hash over per-cert
-	// fingerprints.
-	rootSum corpus.Digest
+	// roots is a flat copy of the trusted store taken at construction.
+	// isRoot asks its identity-handle index, so a later change to the
+	// caller's store cannot change what the verifier answers.
+	roots rootstore.Store
+	// pool is every issuer candidate — the store's members in store
+	// order, then the intermediates in the order given, exact duplicates
+	// dropped — sorted by subject key, equal keys in that candidate order.
+	pool []candidate
+	// poolSum is the XOR of the pool members' content digests (the roots'
+	// share is the store's ContentDigest): with it, PoolKey needs no sort
+	// or hash over per-certificate fingerprints.
 	poolSum corpus.Digest
 
 	// poolHash is the content hash behind PoolKey, computed once: the pool
 	// is immutable after construction, only maxDepth can change later.
 	poolOnce sync.Once
 	poolHash string
+}
+
+// candidate is one issuer-pool slot: the member's precomputed subject key
+// (corpus.Entry.SubjectKey), its handle, and its position in candidate
+// order, which breaks key ties.
+type candidate struct {
+	key uint64
+	ref corpus.Ref
+	pos uint32
 }
 
 // NewVerifier returns a Verifier trusting roots, able to cross the given
@@ -71,67 +85,66 @@ func NewVerifier(roots, intermediates []*x509.Certificate, at time.Time) *Verifi
 	return NewVerifierIn(corpus.Shared(), roots, intermediates, at)
 }
 
-// NewVerifierIn is NewVerifier interning into an explicit corpus.
+// NewVerifierIn is NewVerifier interning into an explicit corpus. The
+// roots are gathered into a store, so equivalent roots count once (the
+// first instance wins).
 func NewVerifierIn(c *corpus.Corpus, roots, intermediates []*x509.Certificate, at time.Time) *Verifier {
-	v := newVerifier(c, len(roots), len(roots)+len(intermediates), at)
-	for _, r := range roots {
-		v.addRoot(c.InternCert(r))
-	}
-	for _, ic := range intermediates {
-		v.index(c.InternCert(ic))
-	}
-	return v
+	s := rootstore.NewSized("", c, len(roots))
+	s.AddAll(roots)
+	return NewVerifierFromStore(s, c.InternChain(intermediates), at)
 }
 
 // NewVerifierFromStore builds a Verifier whose trusted roots are exactly the
-// store's membership, reusing the store's interned handles and its
-// incrementally-maintained content digest — no certificate is re-interned
-// or re-fingerprinted. The intermediates must be handles in the store's
-// corpus.
+// store's membership, reusing the store's interned handles, its identity
+// index and its incrementally-maintained content digest — no certificate is
+// re-interned, re-fingerprinted or re-hashed. The intermediates must be
+// handles in the store's corpus.
 func NewVerifierFromStore(s *rootstore.Store, intermediates []corpus.Ref, at time.Time) *Verifier {
-	v := newVerifier(s.Corpus(), s.Len(), s.Len()+len(intermediates), at)
-	for _, ref := range s.Refs() {
-		v.addRoot(ref)
+	c := s.Corpus()
+	v := &Verifier{
+		at:       at,
+		maxDepth: DefaultMaxDepth,
+		c:        c,
+		roots:    *s.Clone(s.Name()),
+		poolSum:  s.ContentDigest(),
+	}
+	pool := make([]candidate, 0, s.Len()+len(intermediates))
+	for i := range s.Len() {
+		ref := s.RefAt(i)
+		pool = append(pool, candidate{c.Entry(ref).SubjectKey, ref, uint32(len(pool))})
 	}
 	for _, ref := range intermediates {
-		v.index(ref)
+		pool = append(pool, candidate{c.Entry(ref).SubjectKey, ref, uint32(len(pool))})
 	}
-	return v
-}
-
-func newVerifier(c *corpus.Corpus, nroots, npool int, at time.Time) *Verifier {
-	return &Verifier{
-		at:        at,
-		maxDepth:  DefaultMaxDepth,
-		c:         c,
-		roots:     make(map[certid.Identity]corpus.Ref, nroots),
-		bySubject: make(map[string][]corpus.Ref, npool),
-	}
-}
-
-// addRoot trusts ref, deduplicating by identity (first instance wins, as in
-// a store).
-func (v *Verifier) addRoot(ref corpus.Ref) {
-	e := v.c.Entry(ref)
-	if _, dup := v.roots[e.Identity]; dup {
-		return
-	}
-	v.roots[e.Identity] = ref
-	v.rootSum.XOR(e.Digest)
-	v.index(ref)
-}
-
-// index adds ref to the issuer-candidate pool, skipping exact duplicates.
-func (v *Verifier) index(ref corpus.Ref) {
-	e := v.c.Entry(ref)
-	k := string(e.Cert.RawSubject)
-	for _, have := range v.bySubject[k] {
-		if have == ref {
-			return
+	slices.SortFunc(pool, func(a, b candidate) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
 		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	// Drop exact duplicates — an intermediate given twice, or one the store
+	// already holds — keeping the first in candidate order. Duplicates
+	// share a key, so each is found in its key run. Store members are
+	// distinct identities, hence distinct refs, and already in poolSum.
+	kept := pool[:0]
+	for _, cand := range pool {
+		dup := false
+		for j := len(kept) - 1; j >= 0 && kept[j].key == cand.key; j-- {
+			if kept[j].ref == cand.ref {
+				dup = true
+				break
+			}
+		}
+		if dup {
+			continue
+		}
+		if int(cand.pos) >= s.Len() {
+			v.poolSum.XOR(c.Entry(cand.ref).Digest)
+		}
+		kept = append(kept, cand)
 	}
-	v.bySubject[k] = append(v.bySubject[k], ref)
-	v.poolSum.XOR(e.Digest)
+	v.pool = kept
+	return v
 }
 
 // SetMaxDepth overrides the path-length bound. Values < 2 are ignored.
@@ -152,26 +165,32 @@ func (v *Verifier) timeValid(c *x509.Certificate) bool {
 	return !v.at.Before(c.NotBefore) && !v.at.After(c.NotAfter)
 }
 
-// isRoot reports whether ref is one of the trusted roots.
+// isRoot reports whether ref is one of the trusted roots (by identity).
 func (v *Verifier) isRoot(ref corpus.Ref) bool {
-	_, ok := v.roots[v.c.Entry(ref).Identity]
-	return ok
+	return v.roots.ContainsHandle(v.c.IdentityRefOf(ref))
 }
 
 // candidateIssuers returns pool refs whose subject matches c's issuer, that
-// are marked CA, and that verify c's signature. The signature check is the
-// corpus's memoized one: it depends on the two certificates alone, never
-// on this verifier's roots, instant or depth.
+// are marked CA, and that verify c's signature, in candidate order. The
+// lookup is a binary search on the issuer's precomputed key; a key match
+// is confirmed on the raw name bytes. The signature check is the corpus's
+// memoized one: it depends on the two certificates alone, never on this
+// verifier's roots, instant or depth.
 func (v *Verifier) candidateIssuers(ref corpus.Ref) []corpus.Ref {
+	e := v.c.Entry(ref)
+	i, _ := slices.BinarySearchFunc(v.pool, e.IssuerKey, func(cand candidate, key uint64) int {
+		return cmp.Compare(cand.key, key)
+	})
 	var out []corpus.Ref
-	for _, cand := range v.bySubject[string(v.c.Cert(ref).RawIssuer)] {
-		if !v.c.Cert(cand).IsCA {
+	for ; i < len(v.pool) && v.pool[i].key == e.IssuerKey; i++ {
+		cand := v.c.Cert(v.pool[i].ref)
+		if !bytes.Equal(cand.RawSubject, e.Cert.RawIssuer) || !cand.IsCA {
 			continue
 		}
-		if !v.c.CheckSignature(ref, cand) {
+		if !v.c.CheckSignature(ref, v.pool[i].ref) {
 			continue
 		}
-		out = append(out, cand)
+		out = append(out, v.pool[i].ref)
 	}
 	return out
 }
@@ -198,17 +217,19 @@ func (v *Verifier) chainRefs(ref corpus.Ref) [][]corpus.Ref {
 		return nil
 	}
 	var chains [][]corpus.Ref
-	visited := map[certid.Identity]bool{e.Identity: true}
-	v.extend([]corpus.Ref{ref}, visited, &chains)
+	path := append(make([]corpus.Ref, 0, v.maxDepth), ref)
+	ids := append(make([]corpus.IdentityRef, 0, v.maxDepth), e.IdentityRef)
+	v.extend(path, ids, &chains)
 	return chains
 }
 
-func (v *Verifier) extend(path []corpus.Ref, visited map[certid.Identity]bool, out *[][]corpus.Ref) {
-	tip := path[len(path)-1]
-	if v.isRoot(tip) {
-		chain := make([]corpus.Ref, len(path))
-		copy(chain, path)
-		*out = append(*out, chain)
+// extend grows path by every valid issuer of its tip. ids holds the
+// identity handles of the path's members: an identity already on the path
+// is not crossed again, and the path never outgrows maxDepth, so a scan
+// of ids is the whole visited set.
+func (v *Verifier) extend(path []corpus.Ref, ids []corpus.IdentityRef, out *[][]corpus.Ref) {
+	if v.isRoot(path[len(path)-1]) {
+		*out = append(*out, slices.Clone(path))
 		// A root may itself be cross-signed by another root; we stop here —
 		// a trusted anchor terminates the path, matching browser behaviour.
 		return
@@ -216,17 +237,15 @@ func (v *Verifier) extend(path []corpus.Ref, visited map[certid.Identity]bool, o
 	if len(path) >= v.maxDepth {
 		return
 	}
-	for _, issuer := range v.candidateIssuers(tip) {
+	for _, issuer := range v.candidateIssuers(path[len(path)-1]) {
 		e := v.c.Entry(issuer)
-		if visited[e.Identity] {
+		if slices.Contains(ids, e.IdentityRef) {
 			continue
 		}
 		if !v.timeValid(e.Cert) {
 			continue
 		}
-		visited[e.Identity] = true
-		v.extend(append(path, issuer), visited, out)
-		delete(visited, e.Identity)
+		v.extend(append(path, issuer), append(ids, e.IdentityRef), out)
 	}
 }
 
@@ -255,13 +274,12 @@ func (v *Verifier) ValidatingRoots(cert *x509.Certificate) []*x509.Certificate {
 // validatingRootRefs returns the refs of the distinct trusted roots
 // reachable from ref, in discovery order.
 func (v *Verifier) validatingRootRefs(ref corpus.Ref) []corpus.Ref {
-	seen := make(map[certid.Identity]bool)
 	var out []corpus.Ref
+	var seen []corpus.IdentityRef
 	for _, chain := range v.chainRefs(ref) {
 		root := chain[len(chain)-1]
-		id := v.c.Entry(root).Identity
-		if !seen[id] {
-			seen[id] = true
+		if h := v.c.IdentityRefOf(root); !slices.Contains(seen, h) {
+			seen = append(seen, h)
 			out = append(out, root)
 		}
 	}
@@ -303,7 +321,7 @@ func (v *Verifier) identitiesOf(refs []corpus.Ref) []certid.Identity {
 func (v *Verifier) PoolKey() string {
 	v.poolOnce.Do(func() {
 		material := "corpus:" + strconv.FormatUint(v.c.ID(), 10) +
-			"\nroot:" + v.rootSum.Hex() + "/" + strconv.Itoa(len(v.roots)) +
+			"\nroot:" + v.roots.ContentKey() +
 			"\npool:" + v.poolSum.Hex() +
 			"\nat:" + strconv.FormatInt(v.at.UnixNano(), 10)
 		sum := sha256.Sum256([]byte(material))

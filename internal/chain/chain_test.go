@@ -195,7 +195,7 @@ func TestChainsReturnsAllPaths(t *testing.T) {
 		if len(c) != 3 {
 			t.Errorf("chain length %d, want 3", len(c))
 		}
-		if c[0] != leaf.Cert {
+		if !c[0].Equal(leaf.Cert) {
 			t.Error("chains must start at the leaf")
 		}
 	}

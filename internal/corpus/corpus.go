@@ -46,6 +46,7 @@ import (
 	"encoding/hex"
 	"encoding/pem"
 	"fmt"
+	"hash/fnv"
 	"hash/maphash"
 	"math/bits"
 	"sync"
@@ -107,6 +108,13 @@ type Entry struct {
 	SubjectHash uint32
 	// Digest is the raw SHA-256 content address.
 	Digest Digest
+	// SubjectKey and IssuerKey are 64-bit FNV-1a hashes of RawSubject and
+	// RawIssuer: a verifier sorts its issuer candidates by SubjectKey and
+	// looks a certificate's issuers up by IssuerKey, so no pool build
+	// hashes a name. Equal keys do not imply equal names; callers compare
+	// the raw bytes.
+	SubjectKey uint64
+	IssuerKey  uint64
 
 	identHash uint64 // identHash(Identity): the identity index's probe start
 }
@@ -125,8 +133,18 @@ func newEntry(sum Digest, der []byte, cert *x509.Certificate) *Entry {
 		MD5:         certid.MD5Fingerprint(cert),
 		SubjectHash: certid.SubjectHash32(cert),
 		Digest:      sum,
+		SubjectKey:  nameKey(cert.RawSubject),
+		IssuerKey:   nameKey(cert.RawIssuer),
 		identHash:   identHash(id),
 	}
+}
+
+// nameKey is the 64-bit FNV-1a hash of a DER-encoded name. It is
+// deterministic across processes, unlike the identity index's seeded hash.
+func nameKey(der []byte) uint64 {
+	h := fnv.New64a()
+	_, _ = h.Write(der) // a hash.Hash never returns an error
+	return h.Sum64()
 }
 
 // identSeed keys the identity index's hash. It only places identities in

@@ -180,15 +180,18 @@ type Retrier struct {
 	policy Policy
 	clock  Clock
 	obs    *obs.Observer
+	seed   int64
 
 	mu  sync.Mutex
-	src *stats.Source
+	src *stats.Source // seeded on the first jittered backoff
 }
 
 // NewRetrier builds a retrier on the system clock. The seed drives jitter
-// only — it shapes timing, never outcomes.
+// only — it shapes timing, never outcomes. The random source is created on
+// the first jittered backoff, so a retrier that never retries costs no
+// source, and the draws are the same whenever the first retry comes.
 func NewRetrier(p Policy, seed int64) *Retrier {
-	return &Retrier{policy: p.withDefaults(), clock: SystemClock(), src: stats.NewSource(seed)}
+	return &Retrier{policy: p.withDefaults(), clock: SystemClock(), seed: seed}
 }
 
 // WithClock substitutes the clock (tests, chaos harnesses) and returns the
@@ -261,6 +264,9 @@ func (r *Retrier) delay(attempt int) time.Duration {
 	}
 	if j := r.policy.Jitter; j > 0 {
 		r.mu.Lock()
+		if r.src == nil {
+			r.src = stats.NewSource(r.seed)
+		}
 		f := r.src.Float64()
 		r.mu.Unlock()
 		d += d * j * f

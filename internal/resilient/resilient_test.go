@@ -190,6 +190,34 @@ func TestRetrierJitterIsSeededAndBounded(t *testing.T) {
 	}
 }
 
+// TestRetrierJitterIndependentOfCleanRuns: a retrier's jitter draws are a
+// function of its seed and its retries alone — a hundred operations that
+// succeed first time before the first retry leave the schedule unchanged.
+func TestRetrierJitterIndependentOfCleanRuns(t *testing.T) {
+	schedule := func(cleanRuns int) []time.Duration {
+		fc := &fakeClock{now: time.Unix(0, 0)}
+		r := NewRetrier(Policy{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond, Jitter: 0.5}, 11).WithClock(fc.clock())
+		for i := 0; i < cleanRuns; i++ {
+			if err := r.Do(context.Background(), func(int) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			_ = r.Do(context.Background(), func(int) error { return io.EOF })
+		}
+		return fc.slept
+	}
+	first, hundredth := schedule(0), schedule(99)
+	if len(first) != 6 || len(hundredth) != len(first) {
+		t.Fatalf("slept %d and %d times, want 6 each", len(first), len(hundredth))
+	}
+	for i := range first {
+		if first[i] != hundredth[i] {
+			t.Errorf("delay %d = %v after no clean runs, %v after 99", i, first[i], hundredth[i])
+		}
+	}
+}
+
 func TestRetrierBudget(t *testing.T) {
 	fc := &fakeClock{now: time.Unix(0, 0)}
 	r := NewRetrier(Policy{

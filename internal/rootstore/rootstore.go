@@ -209,6 +209,10 @@ func (s *Store) Refs() []corpus.Ref {
 	return append(make([]corpus.Ref, 0, len(s.order)), s.order...)
 }
 
+// RefAt returns the handle of the i-th member in insertion order,
+// 0 <= i < Len. Unlike Refs it copies nothing.
+func (s *Store) RefAt(i int) corpus.Ref { return s.order[i] }
+
 // Certificates returns the certificates in insertion order. The returned
 // slice is freshly allocated; mutating it does not affect the store.
 func (s *Store) Certificates() []*x509.Certificate {

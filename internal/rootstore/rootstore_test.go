@@ -79,7 +79,7 @@ func TestAddEquivalentRejected(t *testing.T) {
 	if s.Add(re.Cert) {
 		t.Error("equivalent (reissued) cert should be rejected as duplicate")
 	}
-	if got := s.Get(certid.IdentityOf(re.Cert)); got != orig.Cert {
+	if got := s.Get(certid.IdentityOf(re.Cert)); got == nil || !got.Equal(orig.Cert) {
 		t.Error("first-seen instance should win")
 	}
 }
@@ -92,7 +92,7 @@ func TestInsertionOrderPreserved(t *testing.T) {
 	}
 	got := s.Certificates()
 	for i := range certs {
-		if got[i] != certs[i] {
+		if !got[i].Equal(certs[i]) {
 			t.Fatalf("order violated at %d", i)
 		}
 	}

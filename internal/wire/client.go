@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -49,9 +50,14 @@ type Client struct {
 	nonce string
 	seq   uint64
 
+	// out holds the request line being sent and enc encodes into it: a
+	// request is encoded whole before any byte reaches the transport. out
+	// keeps its capacity, so a long-lived client encodes without garbage.
+	out bytes.Buffer
+	enc *json.Encoder
+
 	conn    net.Conn
 	scanner *bufio.Scanner
-	enc     *json.Encoder
 	broken  bool
 }
 
@@ -72,6 +78,7 @@ func Dial(ctx context.Context, addr string, cfg Config) (*Client, error) {
 		}, 0).WithObserver(cfg.Observer)
 	}
 	c := &Client{cfg: cfg, addr: addr, nonce: newNonce()}
+	c.enc = json.NewEncoder(&c.out)
 	if err := cfg.Retry.Do(ctx, func(int) error { return c.connect(ctx) }); err != nil {
 		return nil, err
 	}
@@ -115,8 +122,8 @@ func (c *Client) connect(ctx context.Context) error {
 		return fmt.Errorf("%s: dialing %s: %w", c.cfg.Name, c.addr, err)
 	}
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), MaxLine)
-	c.conn, c.scanner, c.enc, c.broken = conn, sc, json.NewEncoder(conn), false
+	sc.Buffer(nil, MaxLine)
+	c.conn, c.scanner, c.broken = conn, sc, false
 	return nil
 }
 
@@ -172,9 +179,19 @@ func Call[R any](ctx context.Context, c *Client, req any, status func(R) (ok boo
 }
 
 // exchange writes one request line and reads one response line on the
-// current transport, reconnecting first if it is broken. The returned line
-// is valid until the next exchange.
+// current transport, reconnecting first if it is broken. The request is
+// encoded before anything is sent: one that cannot be encoded, or whose
+// line would exceed MaxLine (the server would drop the connection on it),
+// fails permanently with nothing written and the transport untouched. The
+// returned line is valid until the next exchange.
 func (c *Client) exchange(ctx context.Context, req any) ([]byte, error) {
+	c.out.Reset()
+	if err := c.enc.Encode(req); err != nil {
+		return nil, resilient.MarkPermanent(fmt.Errorf("%s: encoding request: %w", c.cfg.Name, err))
+	}
+	if n := c.out.Len(); n > MaxLine {
+		return nil, resilient.MarkPermanent(fmt.Errorf("%s: request line of %d bytes exceeds the %d-byte limit", c.cfg.Name, n, MaxLine))
+	}
 	if c.broken || c.conn == nil {
 		if err := c.connect(ctx); err != nil {
 			return nil, err
@@ -188,7 +205,7 @@ func (c *Client) exchange(ctx context.Context, req any) ([]byte, error) {
 		c.markBroken()
 		return nil, fmt.Errorf("%s: setting deadline: %w", c.cfg.Name, err)
 	}
-	if err := c.enc.Encode(req); err != nil {
+	if _, err := c.conn.Write(c.out.Bytes()); err != nil {
 		c.markBroken()
 		return nil, fmt.Errorf("%s: sending request: %w", c.cfg.Name, err)
 	}

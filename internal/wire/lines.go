@@ -10,9 +10,11 @@ import (
 )
 
 const (
-	// MaxLine bounds one protocol line in either direction. Chains of a few
-	// certificates fit in well under 64 KiB; a notarynet validate request
-	// carrying a 262-root store needs more.
+	// MaxLine bounds one protocol line, newline included, in either
+	// direction. Line buffers start at bufio's 4 KiB and grow to the
+	// longest line a connection carries: chains of a few certificates take
+	// a few KiB; a notarynet validate request carrying a 262-root store
+	// takes far more.
 	MaxLine = 8 << 20
 	// idleTimeout reaps a connection that sends no request for this long.
 	// Sensors stream for long periods and analysis clients are short-lived;
@@ -33,7 +35,7 @@ func Lines(serve func(line []byte) any, active func() *obs.Gauge) func(net.Conn)
 		g.Inc()
 		defer g.Dec()
 		scanner := bufio.NewScanner(conn)
-		scanner.Buffer(make([]byte, 64<<10), MaxLine)
+		scanner.Buffer(nil, MaxLine)
 		enc := json.NewEncoder(conn)
 		for conn.SetReadDeadline(time.Now().Add(idleTimeout)) == nil && scanner.Scan() {
 			line := scanner.Bytes()

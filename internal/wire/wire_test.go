@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -403,4 +404,103 @@ func TestWindowConcurrentRetries(t *testing.T) {
 			t.Errorf("%s applied %d times, want 1", id, applied[id])
 		}
 	}
+}
+
+// padReq is a request whose size the test chooses.
+type padReq struct {
+	Pad string `json:"pad"`
+}
+
+type padResp struct {
+	OK  bool   `json:"ok"`
+	Pad string `json:"pad"`
+}
+
+func padStatus(r padResp) (bool, string) { return r.OK, "" }
+
+// listenPad echoes each padReq back, counting the lines it served.
+func listenPad(t *testing.T, served *atomic.Int64) *Listener {
+	t.Helper()
+	l, _ := listenEcho(t, func(line []byte) any {
+		served.Add(1)
+		var req padReq
+		if err := json.Unmarshal(line, &req); err != nil {
+			return padResp{}
+		}
+		return padResp{OK: true, Pad: req.Pad}
+	})
+	return l
+}
+
+// TestOversizedRequestIsPermanent: a request whose line would exceed
+// MaxLine cannot succeed on any connection — the server drops a connection
+// on it — so it fails at once as permanent, with nothing written, and the
+// connection stays usable.
+func TestOversizedRequestIsPermanent(t *testing.T) {
+	var served atomic.Int64
+	l := listenPad(t, &served)
+	dials := 0
+	c, err := Dial(context.Background(), l.Addr(), Config{
+		Name:   "test",
+		Dialed: func(error) { dials++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	_, err = Call(context.Background(), c, padReq{Pad: strings.Repeat("x", MaxLine)}, padStatus)
+	if err == nil {
+		t.Fatal("oversized request succeeded")
+	}
+	if resilient.Classify(err) != resilient.Permanent {
+		t.Errorf("oversized request error classified transient: %v", err)
+	}
+	if dials != 1 {
+		t.Errorf("dials = %d, want 1 (the initial connect): the oversized request was retried", dials)
+	}
+	if n := served.Load(); n != 0 {
+		t.Errorf("server served %d lines, want 0", n)
+	}
+	resp, err := Call(context.Background(), c, padReq{Pad: "small"}, padStatus)
+	if err != nil || resp.Pad != "small" {
+		t.Fatalf("call after an oversized request = %+v, %v; want it served", resp, err)
+	}
+	if dials != 1 {
+		t.Errorf("dials = %d after the follow-up call, want 1: the connection was lost", dials)
+	}
+}
+
+// TestConnectionBuffersGrowOnDemand: neither end of a connection reserves
+// a large line buffer up front — a dial and one small exchange, both ends
+// included, allocate a few KiB — yet a line far beyond the initial buffer
+// still round-trips.
+func TestConnectionBuffersGrowOnDemand(t *testing.T) {
+	var served atomic.Int64
+	l := listenPad(t, &served)
+	exchange := func(pad string) {
+		c, err := Dial(context.Background(), l.Addr(), Config{Name: "test"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := Call(context.Background(), c, padReq{Pad: pad}, padStatus)
+		if err != nil || resp.Pad != pad {
+			t.Fatalf("exchange of a %d-byte pad = %d bytes back, %v", len(pad), len(resp.Pad), err)
+		}
+		c.Close()
+	}
+	exchange("warm-up")
+
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		exchange("small")
+	}
+	runtime.ReadMemStats(&after)
+	if perDial := (after.TotalAlloc - before.TotalAlloc) / rounds; perDial >= 16<<10 {
+		t.Errorf("a dial plus one small exchange allocates %d bytes, want under 16 KiB", perDial)
+	}
+
+	exchange(strings.Repeat("y", 1<<20))
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # verify.sh is the repo's correctness gate: build, vet, formatting, the
-# repo-aware static-analysis suite, brief fuzzing of the wire request
-# decoders, and the race-enabled tests, in that order. Each stage must
-# pass before the next runs; the script fails on the first broken stage.
+# repo-aware static-analysis suite, brief fuzzing of the byte decoders, the
+# race-enabled tests and a repeated run of the certificate-minting tests, in
+# that order. Each stage must pass before the next runs; the script fails on
+# the first broken stage.
 set -eu
 
 cd "$(dirname "$0")"
@@ -50,15 +51,24 @@ else
 	go test -race -run TestCrashpointSweep ./internal/notary/
 fi
 
-# A brief run of each JSON-lines request fuzzer: a regression guard for
-# the decoders of untrusted wire input rather than a search. A failing
-# input is written under the package's testdata/fuzz/ for replay.
-echo "==> fuzz: collect and notarynet request lines, 10s each"
+# A brief run of each byte-decoder fuzzer: a regression guard for the
+# decoders of untrusted input rather than a search. A failing input is
+# written under the package's testdata/fuzz/ for replay.
+echo "==> fuzz: request lines, WAL frames and the tap parser, 10s each"
 go test -run '^$' -fuzz '^FuzzCollectRequest$' -fuzztime 10s ./internal/collect/
 go test -run '^$' -fuzz '^FuzzNotarynetRequest$' -fuzztime 10s ./internal/notarynet/
+go test -run '^$' -fuzz '^FuzzWALScan$' -fuzztime 10s ./internal/notary/
+go test -run '^$' -fuzz '^FuzzTapParser$' -fuzztime 10s ./internal/tap/
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+# Tests that mint certificates share the process-wide corpus, and a seeded
+# generator can re-create byte-identical certificates on a second run in
+# the same process. Running these packages three times in one process
+# fails any test whose outcome depends on state an earlier run left behind.
+echo "==> count: certificate-minting tests, three runs per process"
+go test -count=3 ./internal/chain/ ./internal/rootstore/ ./internal/trusteval/ ./internal/corpus/ ./internal/certid/
 
 # The bench-gate compares the Table/Figure benchmarks against the committed
 # serial baseline and fails on a >25% ns/op regression or a >25% allocs/op
