@@ -40,8 +40,10 @@ chaos:
 crash:
 	$(GO) test -race -v -run TestCrashpointSweep ./internal/notary/
 
-# The observability gate: boot collectd, scrape its debug endpoint, and
-# check the payload is well-formed snapshot JSON.
+# The observability gate: boot collectd and a durable 2-shard notaryd,
+# scrape their debug endpoints and check each payload is well-formed
+# snapshot JSON; then shut notaryd down, fsck its shards and check a
+# narrower reboot is refused.
 metrics-smoke:
 	./scripts/metrics_smoke.sh
 

@@ -19,6 +19,7 @@ import (
 	"tangledmass/internal/fota"
 	"tangledmass/internal/notary"
 	"tangledmass/internal/notarynet"
+	"tangledmass/internal/notaryshard"
 	"tangledmass/internal/pinning"
 	"tangledmass/internal/recommend"
 	"tangledmass/internal/tap"
@@ -67,10 +68,14 @@ func BenchmarkTrustSurface(b *testing.B) {
 }
 
 // BenchmarkNotarynetObserve measures client→server observation round-trips
-// over TCP.
+// over TCP into an in-memory one-shard cluster, notaryd's default store.
 func BenchmarkNotarynetObserve(b *testing.B) {
 	f := benchFixtures(b)
-	srv, err := notarynet.NewServer(f.notary, "127.0.0.1:0")
+	cluster, err := notaryshard.New(certgen.Epoch, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := notarynet.NewServer(cluster, "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,18 +8,20 @@
 //	notaryd [-addr 127.0.0.1:7511] [-data DIR] [-checkpoint 5m]
 //	        [-prefeed 20000] [-seed 1] [-debug 127.0.0.1:7581] [-shards N]
 //
-// -shards N (N > 1) runs the database as a sharded cluster: observations
-// are routed across N notary shards by leaf content address, each with its
-// own chain cache (and, with -data, its own WAL and snapshot generation
-// under DIR/shard-NNN), and queries are answered from the shard-ordered
-// merged view — byte-identical to what a single-shard daemon would serve.
+// The database is a notaryshard.Cluster of -shards notaries (default 1):
+// observations are routed across the shards by leaf content address, each
+// with its own chain cache, and queries are answered from the
+// shard-ordered merged view — byte-identical at every width.
 //
-// -data DIR makes the database durable: on boot the daemon recovers from
-// DIR (newest checksummed snapshot plus write-ahead-journal replay), every
-// accepted observation is journaled and fsynced before its acknowledgment
-// is sent, a checkpoint runs every -checkpoint interval, and a graceful
-// shutdown (SIGINT) drains connections and checkpoints the final state.
-// Without -data the database is in-memory only, as before.
+// -data DIR makes the database durable under DIR/shard-NNN, one WAL and
+// snapshot generation per shard: on boot each shard recovers (newest
+// checksummed snapshot plus write-ahead-journal replay), every accepted
+// observation is journaled and fsynced before its acknowledgment is sent,
+// a checkpoint runs every -checkpoint interval, and a graceful shutdown
+// (SIGINT) drains connections and checkpoints the final state. Boot
+// refuses a DIR written by a wider cluster and one holding a
+// single-notary generation at its top level. Without -data the database
+// is in-memory only.
 //
 // -prefeed N seeds the database from an N-leaf simulated TLS internet so a
 // fresh daemon immediately answers validation queries; 0 starts empty.
@@ -38,7 +40,6 @@ import (
 
 	"tangledmass/internal/certgen"
 	"tangledmass/internal/faultfs"
-	"tangledmass/internal/notary"
 	"tangledmass/internal/notarynet"
 	"tangledmass/internal/notaryshard"
 	"tangledmass/internal/obs"
@@ -48,25 +49,15 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("notaryd: ")
-	var (
-		addr       = flag.String("addr", "127.0.0.1:7511", "listen address")
-		dataDir    = flag.String("data", "", "durable data directory (empty: in-memory only)")
-		checkpoint = flag.Duration("checkpoint", 5*time.Minute, "periodic checkpoint interval with -data (0 disables)")
-		prefeed    = flag.Int("prefeed", 20000, "pre-feed the database from an N-leaf simulated internet (0 = start empty)")
-		seed       = flag.Int64("seed", 1, "seed for the pre-feed world")
-		debug      = flag.String("debug", "", "serve the observability snapshot over HTTP on this address (empty: disabled)")
-		shards     = flag.Int("shards", 1, "run N notary shards behind a consistent-hash router (1 = unsharded)")
-	)
+	var cfg config
+	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:7511", "listen address")
+	flag.StringVar(&cfg.dataDir, "data", "", "durable data directory (empty: in-memory only)")
+	flag.DurationVar(&cfg.checkpoint, "checkpoint", 5*time.Minute, "periodic checkpoint interval with -data (0 disables)")
+	flag.IntVar(&cfg.prefeed, "prefeed", 20000, "pre-feed the database from an N-leaf simulated internet (0 = start empty)")
+	flag.Int64Var(&cfg.seed, "seed", 1, "seed for the pre-feed world")
+	flag.StringVar(&cfg.debug, "debug", "", "serve the observability snapshot over HTTP on this address (empty: disabled)")
+	flag.IntVar(&cfg.shards, "shards", 1, "number of notary shards behind the consistent-hash router")
 	flag.Parse()
-	cfg := config{
-		addr:       *addr,
-		dataDir:    *dataDir,
-		checkpoint: *checkpoint,
-		prefeed:    *prefeed,
-		seed:       *seed,
-		debug:      *debug,
-		shards:     *shards,
-	}
 	d, err := boot(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -92,14 +83,11 @@ type config struct {
 	shards     int
 }
 
-// daemon is one running notaryd: the (possibly durable) database, the
-// network server and the optional debug listener, with Close tearing them
-// down in drain order.
+// daemon is one running notaryd: the cluster, the network server and the
+// optional debug listener, with Close tearing them down in drain order.
 type daemon struct {
 	srv     *notarynet.Server
-	db      *notary.DB           // nil when sharded or in-memory only
-	cluster *notaryshard.Cluster // nil when unsharded
-	durable bool
+	cluster *notaryshard.Cluster
 	debugLn interface{ Close() error }
 
 	stopCheckpoint chan struct{}
@@ -108,131 +96,52 @@ type daemon struct {
 	closeErr       error
 }
 
-// checkpointStore runs one checkpoint against whichever store the daemon
-// holds; a no-op for a pure in-memory daemon.
-func (d *daemon) checkpointStore() error {
-	if !d.durable {
-		return nil
-	}
-	if d.cluster != nil {
-		return d.cluster.Checkpoint()
-	}
-	return d.db.Checkpoint()
-}
-
-// boot builds a daemon from cfg: recover (or create) the database, prefeed
+// boot builds a daemon from cfg: recover (or create) the cluster, prefeed
 // if empty, start serving, start the checkpoint loop.
 func boot(cfg config) (*daemon, error) {
 	observer := obs.New()
 	durable := cfg.dataDir != ""
-	var (
-		n       *notary.Notary
-		db      *notary.DB
-		cluster *notaryshard.Cluster
-		err     error
-	)
-	if cfg.shards > 1 {
-		if durable {
-			cluster, err = notaryshard.Open(faultfs.Disk, cfg.dataDir, certgen.Epoch, cfg.shards,
-				notaryshard.WithObserver(observer))
-			if err != nil {
-				return nil, err
-			}
-			log.Printf("recovered %d shards from %s (%d sessions)", cfg.shards, cfg.dataDir, cluster.Sessions())
-		} else {
-			cluster, err = notaryshard.New(certgen.Epoch, cfg.shards, notaryshard.WithObserver(observer))
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else if durable {
-		db, err = notary.Open(faultfs.Disk, cfg.dataDir, certgen.Epoch, notary.WithObserver(observer))
-		if err != nil {
-			return nil, err
-		}
-		n = db.Notary()
-		log.Printf("recovered %s from %s (generation %d)", n.String(), cfg.dataDir, db.Gen())
+	var cluster *notaryshard.Cluster
+	var err error
+	if durable {
+		cluster, err = notaryshard.Open(faultfs.Disk, cfg.dataDir, certgen.Epoch, cfg.shards, notaryshard.WithObserver(observer))
 	} else {
-		n = notary.New(certgen.Epoch, notary.WithObserver(observer))
+		cluster, err = notaryshard.New(certgen.Epoch, cfg.shards, notaryshard.WithObserver(observer))
 	}
-	closeStore := func() {
-		if cluster != nil {
-			_ = cluster.Close()
-		}
-		if db != nil {
-			_ = db.Close()
-		}
+	if err != nil {
+		return nil, err
 	}
+	log.Printf("%d shards hold %d sessions", cfg.shards, cluster.Sessions())
 
-	empty := false
-	if cluster != nil {
-		empty = cluster.Sessions() == 0 && cluster.NumUnique() == 0
-	} else {
-		empty = n.Sessions() == 0 && n.NumUnique() == 0
-	}
-	if cfg.prefeed > 0 && empty {
+	if cfg.prefeed > 0 && cluster.Sessions() == 0 && cluster.NumUnique() == 0 {
 		log.Printf("pre-feeding from a %d-leaf simulated TLS internet (seed %d)...", cfg.prefeed, cfg.seed)
 		world, err := tlsnet.NewWorld(tlsnet.Config{Seed: cfg.seed, NumLeaves: cfg.prefeed})
-		if err != nil {
-			closeStore()
-			return nil, err
-		}
-		if cluster != nil {
+		if err == nil {
 			err = tlsnet.FeedTo(world, cluster)
-		} else {
-			tlsnet.Feed(world, n)
+		}
+		// The prefeed is journaled as it goes; one checkpoint folds it
+		// into a snapshot before anything is served.
+		if err == nil {
+			err = cluster.Checkpoint()
 		}
 		if err != nil {
-			closeStore()
+			_ = cluster.Close()
 			return nil, err
-		}
-		// The single-node prefeed wrote straight to memory; one checkpoint
-		// makes it durable before anything is served. (The sharded prefeed
-		// journals as it goes; its checkpoint just folds the WAL.)
-		if durable {
-			var cerr error
-			if cluster != nil {
-				cerr = cluster.Checkpoint()
-			} else {
-				cerr = db.Checkpoint()
-			}
-			if cerr != nil {
-				closeStore()
-				return nil, cerr
-			}
 		}
 	}
 
-	srvOpts := []notarynet.Option{notarynet.WithObserver(observer)}
-	var view notarynet.View
-	if cluster != nil {
-		// The cluster is its own ingester: it routes, and each shard
-		// journals when durable.
-		view = cluster
-	} else {
-		view = n
-		if db != nil {
-			// Route writes through the journal: the network acknowledgment
-			// and the fsync acknowledgment become one and the same.
-			srvOpts = append(srvOpts, notarynet.WithIngester(db))
-		}
-	}
-	srv, err := notarynet.NewServer(view, cfg.addr, srvOpts...)
+	srv, err := notarynet.NewServer(cluster, cfg.addr, notarynet.WithObserver(observer))
 	if err != nil {
-		closeStore()
+		_ = cluster.Close()
 		return nil, err
 	}
 	log.Printf("serving on %s", srv.Addr())
 
-	d := &daemon{srv: srv, db: db, cluster: cluster, durable: durable, stopCheckpoint: make(chan struct{})}
+	d := &daemon{srv: srv, cluster: cluster, stopCheckpoint: make(chan struct{})}
 	if cfg.debug != "" {
-		snapFn := srv.Observer().Snapshot
-		if cluster != nil {
-			// The cluster snapshot merges the shared router observer with
-			// every shard's private one.
-			snapFn = cluster.Snapshot
-		}
-		ln, err := obs.ServeDebugFunc(cfg.debug, snapFn)
+		// The cluster snapshot merges the shared observer (server and
+		// router) with every shard's private one.
+		ln, err := obs.ServeDebugFunc(cfg.debug, cluster.Snapshot)
 		if err != nil {
 			_ = d.Close()
 			return nil, err
@@ -250,7 +159,7 @@ func boot(cfg config) (*daemon, error) {
 			for {
 				select {
 				case <-ticker.C:
-					if err := d.checkpointStore(); err != nil {
+					if err := d.cluster.Checkpoint(); err != nil {
 						log.Printf("checkpoint: %v", err)
 					}
 				case <-d.stopCheckpoint:
@@ -264,7 +173,7 @@ func boot(cfg config) (*daemon, error) {
 
 // Close drains the daemon: stop the checkpoint loop, stop accepting and
 // finish in-flight requests, then checkpoint the final state and release
-// the journal. Safe to call more than once.
+// the journals. Safe to call more than once.
 func (d *daemon) Close() error {
 	d.closeOnce.Do(func() {
 		close(d.stopCheckpoint)
@@ -274,17 +183,10 @@ func (d *daemon) Close() error {
 		}
 		err := d.srv.Close()
 		// After the drain: every acknowledged observation is already
-		// fsynced in the journal; the final checkpoint folds them into
-		// one clean snapshot generation.
-		if d.cluster != nil {
-			if cerr := d.cluster.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if d.db != nil {
-			if cerr := d.db.Close(); err == nil {
-				err = cerr
-			}
+		// fsynced in a journal; the final checkpoint folds them into one
+		// clean snapshot generation per shard.
+		if cerr := d.cluster.Close(); err == nil {
+			err = cerr
 		}
 		d.closeErr = err
 	})

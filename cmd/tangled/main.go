@@ -27,7 +27,8 @@ import (
 	"tangledmass/internal/analysis"
 	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/certid"
-	"tangledmass/internal/notary"
+	"tangledmass/internal/faultfs"
+	"tangledmass/internal/notaryshard"
 	"tangledmass/internal/report"
 	"tangledmass/internal/rootstore"
 )
@@ -228,22 +229,14 @@ func cmdAudit(args []string) error {
 	return nil
 }
 
-// cmdFsck verifies a notaryd data directory offline: snapshot checksums,
-// journal frame CRCs, and the one-live-generation layout. Exit status 1
-// when any check fails, so scripts can gate on it.
+// cmdFsck verifies a notaryd data directory offline, shard by shard:
+// snapshot checksums, journal frame CRCs, and the one-live-generation
+// layout. Exit status 1 when any check fails, so scripts can gate on it.
 func cmdFsck(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("fsck needs one data directory")
 	}
-	r, err := notary.FsckDir(args[0])
-	if err != nil {
-		return err
-	}
-	fmt.Print(r.String())
-	if !r.Healthy() {
-		return fmt.Errorf("%d integrity issue(s) in %s", len(r.Issues), args[0])
-	}
-	return nil
+	return notaryshard.FsckDir(faultfs.Disk, args[0], os.Stdout)
 }
 
 func cmdClassify(args []string) error {

@@ -13,8 +13,8 @@ import (
 
 	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/certgen"
-	"tangledmass/internal/notary"
 	"tangledmass/internal/notarynet"
+	"tangledmass/internal/notaryshard"
 	"tangledmass/internal/tlsnet"
 )
 
@@ -22,9 +22,13 @@ func main() {
 	log.SetFlags(0)
 	u := cauniverse.Default()
 
-	// The central Notary service, started empty.
+	// The central Notary service, started empty: a one-shard in-memory
+	// cluster, what notaryd serves by default.
 	ctx := context.Background()
-	db := notary.New(certgen.Epoch)
+	db, err := notaryshard.New(certgen.Epoch, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	srv, err := notarynet.NewServer(db, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -15,8 +15,8 @@ import (
 	"tangledmass/internal/faultnet"
 	"tangledmass/internal/mitm"
 	"tangledmass/internal/netalyzr"
-	"tangledmass/internal/notary"
 	"tangledmass/internal/notarynet"
+	"tangledmass/internal/notaryshard"
 	"tangledmass/internal/population"
 	"tangledmass/internal/resilient"
 	"tangledmass/internal/tlsnet"
@@ -38,6 +38,17 @@ func chaosPlan(seed int64) *faultnet.Plan {
 		ResetAfterBytes:    24,
 		TruncateAfterBytes: 12,
 	}
+}
+
+// oneShardNotary is the notary store the campaign tests serve: an
+// in-memory one-shard cluster, what notaryd serves by default.
+func oneShardNotary(t *testing.T) *notaryshard.Cluster {
+	t.Helper()
+	cl, err := notaryshard.New(certgen.Epoch, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
 }
 
 // chaosOutcome captures everything two identical chaos runs must agree on.
@@ -99,7 +110,7 @@ func runChaosCampaign(t *testing.T, plan *faultnet.Plan) chaosOutcome {
 		t.Fatal(err)
 	}
 	defer collector.Close()
-	nsrv, err := notarynet.NewServer(notary.New(certgen.Epoch), "127.0.0.1:0")
+	nsrv, err := notarynet.NewServer(oneShardNotary(t), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +372,7 @@ func runRefuseOnlyCampaign(t *testing.T, inj *faultnet.Injector) Stats {
 		t.Fatal(err)
 	}
 	defer collector.Close()
-	nsrv, err := notarynet.NewServer(notary.New(certgen.Epoch), "127.0.0.1:0")
+	nsrv, err := notarynet.NewServer(oneShardNotary(t), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

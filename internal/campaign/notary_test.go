@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"crypto/x509"
 	"errors"
 	"sync"
 	"testing"
@@ -12,14 +11,16 @@ import (
 	"tangledmass/internal/collect"
 	"tangledmass/internal/notary"
 	"tangledmass/internal/notarynet"
+	"tangledmass/internal/notaryshard"
 	"tangledmass/internal/population"
 	"tangledmass/internal/tlsnet"
 )
 
-// recordingIngester is a notary write path that records how the campaign
-// called it, and rejects every write when reject is set.
-type recordingIngester struct {
-	n      *notary.Notary
+// recordingStore is a notary store, a one-shard cluster, that records how
+// the campaign called its write path, and rejects every write when reject
+// is set.
+type recordingStore struct {
+	*notaryshard.Cluster
 	reject bool
 
 	mu      sync.Mutex
@@ -29,31 +30,24 @@ type recordingIngester struct {
 
 var errRejected = errors.New("write path down")
 
-func (r *recordingIngester) Observe(o notary.Observation) error {
+func (r *recordingStore) Observe(o notary.Observation) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.singles++
 	if r.reject {
 		return errRejected
 	}
-	r.n.Observe(o)
-	return nil
+	return r.Cluster.Observe(o)
 }
 
-func (r *recordingIngester) ObserveCA(cert *x509.Certificate, port int) error {
-	r.n.ObserveCA(cert, port)
-	return nil
-}
-
-func (r *recordingIngester) ObserveBatch(_ string, batch []notary.Observation) error {
+func (r *recordingStore) ObserveBatch(id string, batch []notary.Observation) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.batches = append(r.batches, len(batch))
 	if r.reject {
 		return errRejected
 	}
-	r.n.ObserveAll(batch)
-	return nil
+	return r.Cluster.ObserveBatch(id, batch)
 }
 
 var notaryTargets = []tlsnet.HostPort{
@@ -62,10 +56,10 @@ var notaryTargets = []tlsnet.HostPort{
 	{Host: "www.twitter.com", Port: 443},
 }
 
-// runAgainstIngester runs a fault-free campaign whose notary writes go
+// runAgainstStore runs a fault-free campaign whose notary writes go
 // through ing, returning the campaign stats and the notary server's obs
 // snapshot counters.
-func runAgainstIngester(t *testing.T, ing *recordingIngester) (Stats, map[string]int64) {
+func runAgainstStore(t *testing.T, ing *recordingStore) (Stats, map[string]int64) {
 	t.Helper()
 	u := cauniverse.Default()
 	pop, err := population.Generate(population.Config{Seed: 4, Universe: u, SessionScale: 0.01})
@@ -90,7 +84,7 @@ func runAgainstIngester(t *testing.T, ing *recordingIngester) (Stats, map[string
 		t.Fatal(err)
 	}
 	defer collector.Close()
-	nsrv, err := notarynet.NewServer(ing.n, "127.0.0.1:0", notarynet.WithIngester(ing))
+	nsrv, err := notarynet.NewServer(ing, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +109,8 @@ func runAgainstIngester(t *testing.T, ing *recordingIngester) (Stats, map[string
 // to the notary in one observe_batch request, and the notary ingests every
 // chain the probes captured.
 func TestSessionSendsOneObserveBatch(t *testing.T) {
-	ing := &recordingIngester{n: notary.New(certgen.Epoch)}
-	stats, counters := runAgainstIngester(t, ing)
+	ing := &recordingStore{Cluster: oneShardNotary(t)}
+	stats, counters := runAgainstStore(t, ing)
 
 	if ing.singles != 0 {
 		t.Errorf("notary served %d single observe requests, want 0", ing.singles)
@@ -139,7 +133,7 @@ func TestSessionSendsOneObserveBatch(t *testing.T) {
 	if got := counters[notarynet.KeyIngestTotal]; got != int64(captured) {
 		t.Errorf("%s = %d, want %d captured chains", notarynet.KeyIngestTotal, got, captured)
 	}
-	if got := ing.n.Sessions(); got != int64(captured) {
+	if got := ing.Sessions(); got != int64(captured) {
 		t.Errorf("notary holds %d sessions, want %d", got, captured)
 	}
 	if stats.ObserveFailed != 0 {
@@ -150,8 +144,8 @@ func TestSessionSendsOneObserveBatch(t *testing.T) {
 // TestObserveFailedCountsObservations: a lost batch loses every chain it
 // carried, so ObserveFailed keeps counting observations, not requests.
 func TestObserveFailedCountsObservations(t *testing.T) {
-	ing := &recordingIngester{n: notary.New(certgen.Epoch), reject: true}
-	stats, counters := runAgainstIngester(t, ing)
+	ing := &recordingStore{Cluster: oneShardNotary(t), reject: true}
+	stats, counters := runAgainstStore(t, ing)
 
 	if want := len(notaryTargets) * stats.Sessions; stats.ObserveFailed != want {
 		t.Errorf("ObserveFailed = %d, want %d (%d chains in each of %d sessions)",
@@ -163,7 +157,7 @@ func TestObserveFailedCountsObservations(t *testing.T) {
 	if got := counters[notarynet.KeyIngestRejected]; got != int64(stats.Sessions) {
 		t.Errorf("%s = %d, want one rejected request per session (%d)", notarynet.KeyIngestRejected, got, stats.Sessions)
 	}
-	if ing.n.Sessions() != 0 {
-		t.Errorf("rejected writes reached the notary: %d sessions", ing.n.Sessions())
+	if ing.Sessions() != 0 {
+		t.Errorf("rejected writes reached the notary: %d sessions", ing.Sessions())
 	}
 }

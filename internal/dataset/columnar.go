@@ -10,8 +10,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
+	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/corpus"
 	"tangledmass/internal/device"
 	"tangledmass/internal/parallel"
@@ -64,6 +66,11 @@ const columnarMagic = "TANGLED-DATASET-COL1\n"
 // maxColumnarSections bounds the directory a reader will accept; the format
 // defines nine.
 const maxColumnarSections = 64
+
+// maxHandsetSessions bounds one handset's session count on read: Read
+// materializes every session, so the count sizes an allocation. Generated
+// fleets stay under 10 (8 at paper scale).
+const maxHandsetSessions = 1 << 10
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -472,14 +479,16 @@ func (cb *colBuf) take(n int) ([]byte, error) {
 }
 
 // count reads the leading element count and checks it against the meta
-// section's handset count.
+// section's count. Every entry takes at least one byte, so a count the
+// rest of the section cannot hold is refused before anything is sized
+// by it.
 func (cb *colBuf) count(want int) error {
 	got, err := cb.uvarint()
 	if err != nil {
 		return err
 	}
-	if got != uint64(want) {
-		return fmt.Errorf("dataset: section %q: %d entries, want %d", cb.name, got, want)
+	if want < 0 || got != uint64(want) || want > len(cb.b)-cb.off {
+		return fmt.Errorf("dataset: section %q: %d entries in %d bytes, want %d", cb.name, got, len(cb.b)-cb.off, want)
 	}
 	return nil
 }
@@ -603,6 +612,12 @@ func decodeColumns(cd *columnarDir) (*columns, error) {
 		}
 		c.profIdx[i] = uint32(v)
 	}
+	versions := cauniverse.AOSPVersions()
+	for i := 4; i < len(c.profIdx); i += 5 {
+		if v := c.pool[c.profIdx[i]]; !slices.Contains(versions, v) {
+			return nil, fmt.Errorf("dataset: section \"profiles\": handset %d runs Android %q, which has no AOSP store", i/5, v)
+		}
+	}
 
 	flagsBuf, err := cd.read("flags")
 	if err != nil {
@@ -630,6 +645,9 @@ func decodeColumns(cd *columnarDir) (*columns, error) {
 		v, err := sess.uvarint()
 		if err != nil {
 			return nil, err
+		}
+		if v > maxHandsetSessions {
+			return nil, fmt.Errorf("dataset: section \"sessions\": handset %d claims %d sessions", i, v)
 		}
 		c.sessionN[i] = int(v)
 		total += int(v)

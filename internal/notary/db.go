@@ -180,13 +180,6 @@ func Open(fsys faultfs.FS, dir string, at time.Time, opts ...Option) (*DB, error
 // journaled.
 func (db *DB) Notary() *Notary { return db.n }
 
-// Gen returns the live on-disk generation number.
-func (db *DB) Gen() uint64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen
-}
-
 // Append journals a batch of observations with one group-commit fsync,
 // then applies them to the in-memory database. It returns only after the
 // records are durable: a nil error is the acknowledgment the crashpoint
@@ -215,13 +208,6 @@ func (db *DB) Append(batch []Observation) error {
 	db.n.ObserveAll(batch)
 	return nil
 }
-
-// Observe journals and applies a single observation.
-func (db *DB) Observe(o Observation) error { return db.Append([]Observation{o}) }
-
-// ObserveAll is Append under the name the in-memory Notary uses, so the
-// durable database satisfies the same feed interfaces (tlsnet.Sink).
-func (db *DB) ObserveAll(batch []Observation) error { return db.Append(batch) }
 
 // ObserveCA journals and applies one CA sighting (Notary.ObserveCA).
 func (db *DB) ObserveCA(cert *x509.Certificate, port int) error {
@@ -367,7 +353,8 @@ type FsckReport struct {
 	Records int
 	// Issues lists every integrity problem found: checksum-failing
 	// snapshots, torn journal tails, orphaned generations, stray temp
-	// files. Empty means the directory is exactly one intact generation.
+	// files, no generation at all. Empty means the directory is exactly
+	// one intact generation.
 	Issues []string
 }
 
@@ -426,6 +413,9 @@ func Fsck(fsys faultfs.FS, dir string) (*FsckReport, error) {
 		default:
 			r.Issues = append(r.Issues, fmt.Sprintf("unrecognized file %s", name))
 		}
+	}
+	if len(gens) == 0 {
+		r.Issues = append(r.Issues, "no snapshot or journal: not a notary data directory")
 	}
 	var ordered []uint64
 	for g := range gens {
@@ -503,10 +493,6 @@ func readAllClose(f faultfs.File) ([]byte, error) {
 	}
 	return data, cerr
 }
-
-// FsckDir is Fsck over the real filesystem — the `tangled fsck` entry
-// point.
-func FsckDir(dir string) (*FsckReport, error) { return Fsck(faultfs.Disk, dir) }
 
 // corpusForFsck returns an isolated intern table for offline verification.
 func corpusForFsck() *corpus.Corpus { return corpus.New() }

@@ -45,15 +45,27 @@ type sealedPort struct {
 
 // seal encodes snap in the v3 envelope with a valid SHA-256 trailer, so
 // Load gets past the checksum and reaches its structural checks.
-func seal(t *testing.T, snap sealedSnapshot) []byte {
+func seal(t testing.TB, snap sealedSnapshot) []byte {
+	t.Helper()
+	return sealPayload(gobPayload(t, snap))
+}
+
+// gobPayload is snap as the gob stream a v3 envelope carries.
+func gobPayload(t testing.TB, snap sealedSnapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	buf.WriteString(snapMagic)
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return append(buf.Bytes(), sum[:]...)
+	return buf.Bytes()
+}
+
+// sealPayload wraps a gob payload in the v3 envelope: the magic prefix,
+// then a SHA-256 trailer over prefix and payload.
+func sealPayload(payload []byte) []byte {
+	out := append([]byte(snapMagic), payload...)
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...)
 }
 
 // wantLoadErr asserts that Load rejects data with an error naming want.

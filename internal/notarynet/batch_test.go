@@ -17,12 +17,7 @@ import (
 // TestObserveBatchOverTheWire drives the batched ingest path end to end
 // with a real client: one request, many observations, one acknowledgment.
 func TestObserveBatchOverTheWire(t *testing.T) {
-	n := notary.New(certgen.Epoch)
-	srv, err := NewServer(n, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	srv, n := startServer(t)
 	root, leaves := testPKI(t)
 
 	cl, err := NewClient(context.Background(), srv.Addr(), WithoutBreaker())
@@ -52,16 +47,17 @@ func TestObserveBatchOverTheWire(t *testing.T) {
 	}
 }
 
-// TestObserveBatchAtomicThroughDB checks the durable delegation: the
-// server hands a whole batch to notary.DB.Append, one group commit, so a
+// TestObserveBatchAtomicThroughDB checks the durable write path: the
+// server hands a whole batch to the cluster, whose lone shard commits it
+// with one notary.DB.Append — one group commit, one WAL fsync — so a
 // batch is never half-acknowledged.
 func TestObserveBatchAtomicThroughDB(t *testing.T) {
-	db, err := notary.Open(faultfs.Disk, t.TempDir(), certgen.Epoch)
+	cluster, err := notaryshard.Open(faultfs.Disk, t.TempDir(), certgen.Epoch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	srv, err := NewServer(db.Notary(), "127.0.0.1:0", WithIngester(db))
+	defer cluster.Close()
+	srv, err := NewServer(cluster, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +68,17 @@ func TestObserveBatchAtomicThroughDB(t *testing.T) {
 	for i, leaf := range leaves {
 		items[i] = BatchItem{Chain: EncodeChain([]*x509.Certificate{leaf, root.Cert}), Port: 8883}
 	}
+	fsyncs := func() int64 { return cluster.Snapshot().Counters[notary.KeyWALFsyncs] }
+	before := fsyncs()
 	resp := srv.dispatch(Request{Op: "observe_batch", ID: "db-batch", Batch: items})
 	if !resp.OK || resp.Applied != len(items) {
 		t.Fatalf("batch through DB = %+v, want OK with %d applied", resp, len(items))
 	}
-	if got := db.Notary().Sessions(); got != int64(len(items)) {
+	if got := cluster.Sessions(); got != int64(len(items)) {
 		t.Fatalf("sessions = %d, want %d", got, len(items))
+	}
+	if got := fsyncs() - before; got != 1 {
+		t.Fatalf("a %d-item batch took %d WAL fsyncs, want 1", len(items), got)
 	}
 }
 
@@ -96,7 +97,6 @@ func TestRouterBatchRetryExactlyOncePerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cluster is both view and (batch) ingester.
 	srv, err := NewServer(cluster, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

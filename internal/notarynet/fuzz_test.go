@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	"tangledmass/internal/certgen"
-	"tangledmass/internal/notary"
 )
 
 // FuzzNotarynetRequest feeds arbitrary request lines to the server's line
 // handler. It must never panic, must answer with a response that encodes
-// as one JSON line, and an error response must leave the notary's
+// as one JSON line, and an error response must leave the served cluster's
 // sessions as they were.
 func FuzzNotarynetRequest(f *testing.F) {
 	root, leaves := testPKI(f)
@@ -41,7 +38,7 @@ func FuzzNotarynetRequest(f *testing.F) {
 	f.Add([]byte("this is not json"))
 	f.Add([]byte(""))
 
-	n := notary.New(certgen.Epoch)
+	n := oneShard(f)
 	srv, err := NewServer(n, "127.0.0.1:0")
 	if err != nil {
 		f.Fatal(err)

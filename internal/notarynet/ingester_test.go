@@ -13,32 +13,38 @@ import (
 	"tangledmass/internal/certgen"
 	"tangledmass/internal/faultfs"
 	"tangledmass/internal/notary"
+	"tangledmass/internal/notaryshard"
 	"tangledmass/internal/resilient"
 )
 
-// gateIngester rejects writes while closed — the shape of a durable
-// ingester whose journal is fenced after a commit failure.
-type gateIngester struct {
-	n      *notary.Notary
+// gateStore rejects writes while closed — the shape of a durable store
+// whose journal is fenced after a commit failure.
+type gateStore struct {
+	*notaryshard.Cluster
 	reject bool
 }
 
 var errGateClosed = errors.New("journal fenced")
 
-func (g *gateIngester) Observe(o notary.Observation) error {
+func (g *gateStore) Observe(o notary.Observation) error {
 	if g.reject {
 		return errGateClosed
 	}
-	g.n.Observe(o)
-	return nil
+	return g.Cluster.Observe(o)
 }
 
-func (g *gateIngester) ObserveCA(cert *x509.Certificate, port int) error {
+func (g *gateStore) ObserveCA(cert *x509.Certificate, port int) error {
 	if g.reject {
 		return errGateClosed
 	}
-	g.n.ObserveCA(cert, port)
-	return nil
+	return g.Cluster.ObserveCA(cert, port)
+}
+
+func (g *gateStore) ObserveBatch(id string, batch []notary.Observation) error {
+	if g.reject {
+		return errGateClosed
+	}
+	return g.Cluster.ObserveBatch(id, batch)
 }
 
 // TestIngesterErrorSurfacesAndRetrySucceeds: a failing write path must
@@ -46,9 +52,9 @@ func (g *gateIngester) ObserveCA(cert *x509.Certificate, port int) error {
 // idempotency window — the retry with the SAME ID has to be processed,
 // not absorbed as a duplicate — and must count in the rejected metric.
 func TestIngesterErrorSurfacesAndRetrySucceeds(t *testing.T) {
-	n := notary.New(certgen.Epoch)
-	gate := &gateIngester{n: n}
-	srv, err := NewServer(n, "127.0.0.1:0", WithIngester(gate))
+	gate := &gateStore{Cluster: oneShard(t)}
+	n := gate.Cluster
+	srv, err := NewServer(gate, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +108,16 @@ func TestIngesterErrorSurfacesAndRetrySucceeds(t *testing.T) {
 	}
 }
 
-// TestDurableIngesterEndToEnd wires a real notary.DB as the server's
-// ingester and checks an over-the-wire observation lands in the journal:
-// after a reboot with no graceful shutdown, the observation survives.
+// TestDurableIngesterEndToEnd serves a durable one-shard cluster and
+// checks an over-the-wire observation lands in the journal: after a
+// reboot with no graceful shutdown, the observation survives.
 func TestDurableIngesterEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	db, err := notary.Open(faultfs.Disk, dir, certgen.Epoch)
+	cluster, err := notaryshard.Open(faultfs.Disk, dir, certgen.Epoch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(db.Notary(), "127.0.0.1:0", WithIngester(db))
+	srv, err := NewServer(cluster, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,37 +132,37 @@ func TestDurableIngesterEndToEnd(t *testing.T) {
 	if err := cl.Observe(context.Background(), []*x509.Certificate{leaves[1], root.Cert}, 993); err != nil {
 		t.Fatal(err)
 	}
-	// No db.Close(): the acknowledgment alone must be durable.
+	// No cluster.Close(): the acknowledgment alone must be durable.
 	srv.Close()
 
-	rdb, err := notary.Open(faultfs.Disk, dir, certgen.Epoch)
+	re, err := notaryshard.Open(faultfs.Disk, dir, certgen.Epoch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rdb.Close()
-	if got := rdb.Notary().Sessions(); got != 1 {
+	defer re.Close()
+	if got := re.Sessions(); got != 1 {
 		t.Fatalf("recovered sessions = %d, want 1", got)
 	}
-	if !rdb.Notary().HasRecord(leaves[1]) {
+	if !re.HasRecord(leaves[1]) {
 		t.Fatal("acknowledged observation missing after reboot")
 	}
 }
 
-// stallIngester holds its first write until release closes, then fails
-// it — a journal fsync that stalls past the client's timeout and then
-// errors. Later writes succeed.
-type stallIngester struct {
-	n       *notary.Notary
+// stallStore holds its first write until release closes, then fails it —
+// a journal fsync that stalls past the client's timeout and then errors.
+// Later writes succeed.
+type stallStore struct {
+	*notaryshard.Cluster
 	entered chan struct{}
 	release chan struct{}
 	writes  atomic.Int32
 }
 
-func newStallIngester(n *notary.Notary) *stallIngester {
-	return &stallIngester{n: n, entered: make(chan struct{}), release: make(chan struct{})}
+func newStallStore(t *testing.T) *stallStore {
+	return &stallStore{Cluster: oneShard(t), entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (s *stallIngester) stall() error {
+func (s *stallStore) stall() error {
 	if s.writes.Add(1) > 1 {
 		return nil
 	}
@@ -165,20 +171,25 @@ func (s *stallIngester) stall() error {
 	return errors.New("fsync failed")
 }
 
-func (s *stallIngester) Observe(o notary.Observation) error {
+func (s *stallStore) Observe(o notary.Observation) error {
 	if err := s.stall(); err != nil {
 		return err
 	}
-	s.n.Observe(o)
-	return nil
+	return s.Cluster.Observe(o)
 }
 
-func (s *stallIngester) ObserveCA(cert *x509.Certificate, port int) error {
+func (s *stallStore) ObserveCA(cert *x509.Certificate, port int) error {
 	if err := s.stall(); err != nil {
 		return err
 	}
-	s.n.ObserveCA(cert, port)
-	return nil
+	return s.Cluster.ObserveCA(cert, port)
+}
+
+func (s *stallStore) ObserveBatch(id string, batch []notary.Observation) error {
+	if err := s.stall(); err != nil {
+		return err
+	}
+	return s.Cluster.ObserveBatch(id, batch)
 }
 
 // TestRetryWaitsForPendingOriginal: a retry that arrives on another
@@ -194,9 +205,9 @@ func TestRetryWaitsForPendingOriginal(t *testing.T) {
 		{Op: "observe_batch", ID: "pending", Batch: []BatchItem{{Chain: chain, Port: 443}}},
 	} {
 		t.Run(req.Op, func(t *testing.T) {
-			n := notary.New(certgen.Epoch)
-			ing := newStallIngester(n)
-			srv, err := NewServer(n, "127.0.0.1:0", WithIngester(ing))
+			ing := newStallStore(t)
+			n := ing.Cluster
+			srv, err := NewServer(ing, "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,9 +248,9 @@ func TestRetryWaitsForPendingOriginal(t *testing.T) {
 // failed attempt must not count towards its age.
 func TestFailedIDAgesOutByLatestRecording(t *testing.T) {
 	const window = 4096 // the server's idempotency window
-	n := notary.New(certgen.Epoch)
-	gate := &gateIngester{n: n}
-	srv, err := NewServer(n, "127.0.0.1:0", WithIngester(gate))
+	gate := &gateStore{Cluster: oneShard(t)}
+	n := gate.Cluster
+	srv, err := NewServer(gate, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,9 +286,9 @@ func TestFailedIDAgesOutByLatestRecording(t *testing.T) {
 // timeout and then fails, while the client's retries arrive on fresh
 // connections. Observe may succeed only if the observation is recorded.
 func TestClientRetryDoesNotOutrunFailedWrite(t *testing.T) {
-	n := notary.New(certgen.Epoch)
-	ing := newStallIngester(n)
-	srv, err := NewServer(n, "127.0.0.1:0", WithIngester(ing))
+	ing := newStallStore(t)
+	n := ing.Cluster
+	srv, err := NewServer(ing, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

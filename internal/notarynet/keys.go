@@ -11,7 +11,7 @@ const (
 	// idempotency window.
 	KeyIngestDedupe = "notarynet.ingest.dedupe.hit"
 	// KeyIngestRejected counts observations refused by the write path —
-	// with the durable ingester, journal commits that failed before
+	// with a durable store, journal commits that failed before
 	// acknowledgment (the sensor retries them).
 	KeyIngestRejected = "notarynet.ingest.rejected"
 	// KeyQueryTotal counts read-side requests (has_record, stats,

@@ -10,7 +10,7 @@ import (
 
 	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/certgen"
-	"tangledmass/internal/notary"
+	"tangledmass/internal/notaryshard"
 	"tangledmass/internal/resilient"
 	"tangledmass/internal/rootstore"
 )
@@ -20,9 +20,20 @@ func quickRetry() *resilient.Retrier {
 	return resilient.NewRetrier(resilient.Policy{MaxAttempts: 1}, 0)
 }
 
-func startServer(t *testing.T) (*Server, *notary.Notary) {
+// oneShard is the store the tests serve unless they need another: an
+// in-memory one-shard cluster, what notaryd serves by default.
+func oneShard(t testing.TB) *notaryshard.Cluster {
 	t.Helper()
-	n := notary.New(certgen.Epoch)
+	cl, err := notaryshard.New(certgen.Epoch, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+func startServer(t *testing.T) (*Server, *notaryshard.Cluster) {
+	t.Helper()
+	n := oneShard(t)
 	srv, err := NewServer(n, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -263,8 +274,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 func TestLargeValidateRequest(t *testing.T) {
 	// A full 262-root aggregated store crosses the wire in one line.
 	u := cauniverse.Default()
-	n := notary.New(certgen.Epoch)
-	srv, err := NewServer(n, "127.0.0.1:0")
+	srv, err := NewServer(oneShard(t), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 // uniform New(addr, ...Option) shape.
 type options struct {
 	observer       *obs.Observer
-	ingester       Ingester
 	timeout        time.Duration
 	retry          *resilient.Retrier
 	disableBreaker bool
@@ -25,19 +24,10 @@ type options struct {
 type Option func(*options)
 
 // WithObserver attaches the observer counters and gauges report through.
-// Without it the server creates a private observer (so Snapshot and the
-// debug handler always work) and the client stays silent.
+// Without it the server creates a private observer (so Snapshot always
+// works) and the client stays silent.
 func WithObserver(o *obs.Observer) Option {
 	return func(op *options) { op.observer = o }
-}
-
-// WithIngester routes the server's write operations (observe, observe_ca)
-// through ing instead of straight into the in-memory Notary. notaryd
-// passes the durable notary.DB here, making the network acknowledgment
-// and the fsync acknowledgment one and the same. Client-side it is
-// ignored.
-func WithIngester(ing Ingester) Option {
-	return func(op *options) { op.ingester = ing }
 }
 
 // WithTimeout bounds one client round trip. Zero (the default) means one

@@ -5,6 +5,8 @@ import (
 	"crypto/x509"
 	"errors"
 	"fmt"
+	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,26 +21,11 @@ import (
 )
 
 // Option configures a Cluster.
-type Option func(*options)
-
-type options struct {
-	c        *corpus.Corpus
-	observer *obs.Observer
-	workers  int
-}
-
-// WithCorpus interns all shards against c. Every shard MUST share one
-// corpus — that is what makes Refs, and therefore shard placement and the
-// merge, agree. Defaults to the process-wide shared corpus.
-func WithCorpus(c *corpus.Corpus) Option { return func(o *options) { o.c = c } }
+type Option func(*Cluster)
 
 // WithObserver attaches the router-level observer. Each shard always gets
 // its own private observer; Snapshot() merges them all.
-func WithObserver(ob *obs.Observer) Option { return func(o *options) { o.observer = ob } }
-
-// WithWorkers bounds each shard notary's chain-building parallelism and
-// the router's cross-shard apply fan-out.
-func WithWorkers(w int) Option { return func(o *options) { o.workers = w } }
+func WithObserver(ob *obs.Observer) Option { return func(cl *Cluster) { cl.observer = ob } }
 
 // shard is one member: a full notary (optionally durable) plus the
 // per-shard idempotency window for retried batches.
@@ -56,14 +43,12 @@ type shard struct {
 
 // Cluster routes observations across N notary shards by leaf content
 // address and merges them back into a single-notary-equivalent view. It
-// implements notarynet's View, Ingester and BatchIngester, and tlsnet's
-// Sink, so it drops in anywhere a bare Notary or notary.DB does.
+// implements notarynet's Store and tlsnet's Sink; notaryd serves one at
+// every width, in memory (New) or durable (Open).
 type Cluster struct {
 	at       time.Time
-	c        *corpus.Corpus
+	c        *corpus.Corpus // shared by every shard: Refs, placement and the merge agree
 	observer *obs.Observer
-	workers  int
-	durable  bool
 	shards   []*shard
 
 	mutations atomic.Uint64
@@ -76,37 +61,46 @@ type Cluster struct {
 
 // New builds an in-memory cluster of nShards at reference time `at`.
 func New(at time.Time, nShards int, opts ...Option) (*Cluster, error) {
-	cl, op, err := newCluster(at, nShards, opts)
+	cl, err := newCluster(at, nShards, opts)
 	if err != nil {
 		return nil, err
 	}
 	for i := range cl.shards {
 		so := obs.New()
-		cl.shards[i] = &shard{
-			n: notary.New(at, notary.WithCorpus(op.c), notary.WithObserver(so),
-				notary.WithWorkers(op.workers)),
-			observer: so,
-		}
+		cl.shards[i] = &shard{n: notary.New(at, notary.WithCorpus(cl.c), notary.WithObserver(so)), observer: so}
 	}
 	return cl, nil
 }
 
 // Open builds a durable cluster: shard i journals and checkpoints under
-// dir/shard-<i>, each with its own WAL and snapshot generation, recovered
-// independently on reopen. Because placement is a pure function of
-// certificate bytes, reopening with a different nShards still merges to
-// the correct database — data written under the old layout is simply
-// absorbed from whichever shard holds it.
+// dir/shard-NNN (shard-000, shard-001, ...), each with its own WAL and
+// snapshot generation, recovered independently on reopen. Because
+// placement is a pure function of certificate bytes, reopening at a
+// greater nShards still merges to the correct database — data written
+// under the old layout is absorbed from whichever shard holds it.
+//
+// Open refuses two layouts whose data it would otherwise leave unread: a
+// wider cluster (shard-<nShards> exists, so the shards past nShards would
+// vanish from every answer), and a single-notary directory (snap-* or
+// wal-* files directly in dir), which an empty cluster would boot beside.
 func Open(fsys faultfs.FS, dir string, at time.Time, nShards int, opts ...Option) (*Cluster, error) {
-	cl, op, err := newCluster(at, nShards, opts)
+	cl, err := newCluster(at, nShards, opts)
 	if err != nil {
 		return nil, err
 	}
-	cl.durable = true
+	// A missing dir is a fresh cluster, and notary.Open creates it; any
+	// other read failure resurfaces there.
+	names, _ := fsys.ReadDir(dir)
+	if name := generationFile(names); name != "" {
+		return nil, fmt.Errorf("notaryshard: %s holds a single-notary generation (%s); move its snap-* and wal-* files into %s",
+			dir, name, shardDir(dir, 0))
+	}
+	if w := width(fsys, dir, nShards); w > nShards {
+		return nil, fmt.Errorf("notaryshard: %s holds %d shards; reopen it with %d (or more), not %d", dir, w, w, nShards)
+	}
 	for i := range cl.shards {
 		so := obs.New()
-		db, err := notary.Open(fsys, faultfs.Join(dir, fmt.Sprintf("shard-%03d", i)), at,
-			notary.WithCorpus(op.c), notary.WithObserver(so), notary.WithWorkers(op.workers))
+		db, err := notary.Open(fsys, shardDir(dir, i), at, notary.WithCorpus(cl.c), notary.WithObserver(so))
 		if err != nil {
 			for _, sh := range cl.shards[:i] {
 				_ = sh.db.Close()
@@ -118,38 +112,81 @@ func Open(fsys faultfs.FS, dir string, at time.Time, nShards int, opts ...Option
 	return cl, nil
 }
 
-func newCluster(at time.Time, nShards int, opts []Option) (*Cluster, *options, error) {
+func newCluster(at time.Time, nShards int, opts []Option) (*Cluster, error) {
 	if nShards < 1 {
-		return nil, nil, fmt.Errorf("notaryshard: shard count %d < 1", nShards)
+		return nil, fmt.Errorf("notaryshard: shard count %d < 1", nShards)
 	}
-	op := &options{c: corpus.Shared(), observer: obs.New()}
+	cl := &Cluster{at: at, c: corpus.Shared(), observer: obs.New(), shards: make([]*shard, nShards)}
 	for _, o := range opts {
-		o(op)
+		o(cl)
 	}
-	if op.c == nil {
-		op.c = corpus.Shared()
+	return cl, nil
+}
+
+// shardDir is shard i's data directory under a durable cluster's dir.
+func shardDir(dir string, i int) string { return faultfs.Join(dir, fmt.Sprintf("shard-%03d", i)) }
+
+// width returns the first shard index from `from` on whose directory is
+// missing under dir. faultfs.FS.ReadDir lists files only, so each shard
+// is probed by reading its own directory.
+func width(fsys faultfs.FS, dir string, from int) int {
+	for ; ; from++ {
+		if _, err := fsys.ReadDir(shardDir(dir, from)); err != nil {
+			return from
+		}
 	}
-	if op.observer == nil {
-		op.observer = obs.New()
+}
+
+// generationFile returns the first snap-* or wal-* name among a data
+// dir's files — a single-notary generation — or "" when there is none.
+func generationFile(names []string) string {
+	for _, name := range names {
+		if strings.HasPrefix(name, "snap-") || strings.HasPrefix(name, "wal-") {
+			return name
+		}
 	}
-	cl := &Cluster{
-		at:       at,
-		c:        op.c,
-		observer: op.observer,
-		workers:  op.workers,
-		shards:   make([]*shard, nShards),
+	return ""
+}
+
+// FsckDir verifies a notaryd data directory offline without modifying
+// it, writing one notary.FsckReport to w per directory checked: every
+// shard-NNN in shard order, preceded by dir itself when dir holds no
+// shard or a single-notary generation. It fails when any report has an
+// issue — and a directory with no generation at all is one.
+func FsckDir(fsys faultfs.FS, dir string, w io.Writer) error {
+	names, err := fsys.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("notaryshard: reading data dir %s: %w", dir, err)
 	}
-	return cl, op, nil
+	var dirs []string
+	n := width(fsys, dir, 0)
+	if n == 0 || generationFile(names) != "" {
+		dirs = append(dirs, dir)
+	}
+	for i := 0; i < n; i++ {
+		dirs = append(dirs, shardDir(dir, i))
+	}
+	unhealthy := 0
+	for _, d := range dirs {
+		r, err := notary.Fsck(fsys, d)
+		if err != nil {
+			return err
+		}
+		if _, err := fmt.Fprint(w, r); err != nil {
+			return err
+		}
+		if !r.Healthy() {
+			unhealthy++
+		}
+	}
+	if unhealthy > 0 {
+		return fmt.Errorf("notaryshard: %d of %d data directories under %s failed fsck", unhealthy, len(dirs), dir)
+	}
+	return nil
 }
 
 // NumShards returns the cluster width.
 func (cl *Cluster) NumShards() int { return len(cl.shards) }
-
-// At returns the reference time shared by every shard.
-func (cl *Cluster) At() time.Time { return cl.at }
-
-// Corpus returns the shared corpus.
-func (cl *Cluster) Corpus() *corpus.Corpus { return cl.c }
 
 // ShardSnapshot captures shard i's private metrics.
 func (cl *Cluster) ShardSnapshot(i int) obs.Snapshot { return cl.shards[i].observer.Snapshot() }
@@ -213,7 +250,7 @@ func (sh *shard) takeFailNext() error {
 	return err
 }
 
-// Observe routes one observation to its leaf's shard (notarynet.Ingester).
+// Observe routes one observation to its leaf's shard (notarynet.BatchIngester).
 func (cl *Cluster) Observe(o notary.Observation) error {
 	return cl.ObserveAll([]notary.Observation{o})
 }
@@ -257,7 +294,7 @@ func (cl *Cluster) ObserveBatch(id string, batch []notary.Observation) error {
 			return fmt.Errorf("notaryshard: shard %d: %w", i, err)
 		}
 		return nil
-	}, parallel.WithWorkers(cl.routeWorkers()))
+	}, parallel.WithWorkers(len(cl.shards))) // every shard's fsync wait overlaps, whatever GOMAXPROCS is
 	ms := float64(time.Since(start)) / float64(time.Millisecond)
 	cl.observer.Histogram(KeyIngestLatency, IngestLatencyBuckets).Observe(ms)
 	if err != nil {
@@ -269,15 +306,8 @@ func (cl *Cluster) ObserveBatch(id string, batch []notary.Observation) error {
 	return nil
 }
 
-func (cl *Cluster) routeWorkers() int {
-	if cl.workers > 0 && cl.workers < len(cl.shards) {
-		return cl.workers
-	}
-	return len(cl.shards)
-}
-
 // ObserveCA routes one CA-only observation to the certificate's shard —
-// one shard, so its session is counted once (notarynet.Ingester).
+// one shard, so its session is counted once (notarynet.BatchIngester).
 func (cl *Cluster) ObserveCA(cert *x509.Certificate, port int) error {
 	start := time.Now()
 	sh := cl.shards[cl.shardIndexFor(cert)]
@@ -324,15 +354,20 @@ func (cl *Cluster) ImportStore(s *rootstore.Store) error {
 // database a single notary fed the concatenated stream would hold — same
 // entries, same counts, same windows — and every artifact derived from it
 // is byte-identical at any shard count. The merge is memoized against the
-// cluster's mutation counter; steady-state reads pay nothing.
+// cluster's mutation counter; steady-state reads pay nothing. A one-shard
+// cluster has nothing to fold: Merged returns its live shard notary, so
+// callers must only read through it.
 func (cl *Cluster) Merged() *notary.Notary {
+	if len(cl.shards) == 1 {
+		return cl.shards[0].n
+	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	at := cl.mutations.Load()
 	if cl.hasMerge && cl.mergedAt == at {
 		return cl.merged
 	}
-	m := notary.New(cl.at, notary.WithCorpus(cl.c), notary.WithWorkers(cl.workers))
+	m := notary.New(cl.at, notary.WithCorpus(cl.c))
 	for i, sh := range cl.shards {
 		if err := m.Absorb(sh.n); err != nil {
 			// Shards are constructed with the cluster's corpus and time, the

@@ -2,6 +2,8 @@ package notaryshard
 
 import (
 	"errors"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"tangledmass/internal/certgen"
@@ -132,6 +134,25 @@ func TestMergedMemoization(t *testing.T) {
 	}
 	if m3 := cl.Merged(); m3 == m1 {
 		t.Fatal("Merged not rebuilt after a mutation")
+	}
+
+	// A lone shard is the merged view: reads after writes never copy it.
+	one, err := New(certgen.Epoch, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tlsnet.FeedTo(w, one); err != nil {
+		t.Fatal(err)
+	}
+	unique := one.NumUnique()
+	if err := one.Observe(notary.Observation{Chain: leaf.Chain, Port: leaf.Port}); err != nil {
+		t.Fatal(err)
+	}
+	if one.NumUnique() != unique || one.Merged() != one.shards[0].n {
+		t.Fatal("one-shard Merged is not the shard's own notary")
+	}
+	if got := one.Snapshot().Counters[KeyMergeTotal]; got != 0 {
+		t.Fatalf("one-shard cluster merged %d times, want 0", got)
 	}
 }
 
@@ -293,6 +314,62 @@ func TestReshardOnReopen(t *testing.T) {
 	}
 	if got := re.Sessions(); got != want+1 {
 		t.Fatalf("post-reshard write: %d sessions, want %d", got, want+1)
+	}
+}
+
+// TestOpenRefusesHiddenData: Open must not serve beside data it would
+// leave unread — the shards of a wider cluster past the requested width,
+// or a single-notary generation at the top level — and each refusal says
+// how to reopen. Growing stays allowed (TestReshardOnReopen).
+func TestOpenRefusesHiddenData(t *testing.T) {
+	w := testWorld(t, 8, 150)
+	for _, tc := range []struct {
+		name string
+		fs   func(t *testing.T) (faultfs.FS, string)
+	}{
+		{"memfs", func(*testing.T) (faultfs.FS, string) { return faultfs.NewMem(1), "data" }},
+		{"disk", func(t *testing.T) (faultfs.FS, string) { return faultfs.Disk, filepath.Join(t.TempDir(), "data") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys, dir := tc.fs(t)
+			cl, err := Open(fsys, dir, certgen.Epoch, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tlsnet.FeedTo(w, cl); err != nil {
+				t.Fatal(err)
+			}
+			want := cl.Sessions()
+			if err := cl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(fsys, dir, certgen.Epoch, 2); err == nil || !strings.Contains(err.Error(), "holds 5 shards; reopen it with 5") {
+				t.Fatalf("narrowing 5→2: err = %v, want a refusal naming 5 shards", err)
+			}
+			re, err := Open(fsys, dir, certgen.Epoch, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := re.Sessions(); got != want {
+				t.Fatalf("reopened at 5 after the refusal: %d sessions, want %d", got, want)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			single := faultfs.Join(dir, "single")
+			db, err := notary.Open(fsys, single, certgen.Epoch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(fsys, single, certgen.Epoch, 1); err == nil ||
+				!strings.Contains(err.Error(), "move its snap-* and wal-* files into "+shardDir(single, 0)) {
+				t.Fatalf("single-notary layout: err = %v, want the move instruction", err)
+			}
+		})
 	}
 }
 

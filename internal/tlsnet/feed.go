@@ -9,10 +9,9 @@ import (
 )
 
 // Sink is a destination for the world's traffic: the bare in-memory
-// Notary (via Feed), the durable notary.DB, or a sharded
-// notaryshard.Cluster. Write methods return an error because durable and
-// sharded sinks can refuse (fenced journal, failed shard); the in-memory
-// Notary never does.
+// Notary (via Feed) or a notaryshard.Cluster, in memory or durable. Write
+// methods return an error because a cluster can refuse (fenced journal,
+// failed shard); the in-memory Notary never does.
 type Sink interface {
 	ObserveAll(batch []notary.Observation) error
 	ObserveCA(cert *x509.Certificate, port int) error

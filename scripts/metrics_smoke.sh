@@ -1,39 +1,85 @@
 #!/bin/sh
-# metrics_smoke.sh boots collectd with its observability debug endpoint,
-# scrapes the endpoint with obsget -check, and fails unless the payload is
-# well-formed snapshot JSON. It is the `make metrics-smoke` verify stage:
-# proof that the debug surface actually serves what the README documents.
+# metrics_smoke.sh boots collectd and a durable 2-shard notaryd with their
+# observability debug endpoints, scrapes each endpoint with obsget -check,
+# and fails unless the payload is well-formed snapshot JSON. For notaryd it
+# then walks the one serving path end to end: SIGINT must shut it down
+# cleanly, `tangled fsck` must pass and report both shards, and a reboot at
+# the default width must refuse the wider data directory. It is the
+# `make metrics-smoke` verify stage: proof that the debug surface actually
+# serves what the README documents.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 workdir=$(mktemp -d)
+pid=""
 trap 'kill "$pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT INT TERM
 
-echo "==> building collectd and obsget"
-go build -o "$workdir/collectd" ./cmd/collectd
-go build -o "$workdir/obsget" ./cmd/obsget
+# debug_addr NAME LOG PID prints the address from NAME's "debug listening
+# on <addr>" log line once it appears, and fails if the daemon exits first.
+debug_addr() {
+    for _ in $(seq 1 100); do
+        addr=$(sed -n "s/^$1: debug listening on //p" "$2")
+        if [ -n "$addr" ]; then
+            echo "$addr"
+            return 0
+        fi
+        kill -0 "$3" 2>/dev/null || break
+        sleep 0.1
+    done
+    echo "metrics-smoke: $1 never announced its debug listener" >&2
+    cat "$2" >&2
+    return 1
+}
+
+# scrape NAME ADDR checks ADDR's snapshot and shows its head.
+scrape() {
+    echo "==> scraping $1 at http://$2/debug/vars"
+    "$workdir/obsget" -check "http://$2/debug/vars" >"$workdir/$1.json"
+    head -c 400 "$workdir/$1.json"; echo
+}
+
+echo "==> building collectd, notaryd, tangled and obsget"
+for cmd in collectd notaryd tangled obsget; do
+    go build -o "$workdir/$cmd" "./cmd/$cmd"
+done
 
 echo "==> booting collectd with a debug listener"
 "$workdir/collectd" -addr 127.0.0.1:0 -debug 127.0.0.1:0 >"$workdir/collectd.log" 2>&1 &
 pid=$!
+scrape collectd "$(debug_addr collectd "$workdir/collectd.log" "$pid")"
+kill "$pid"
 
-# collectd logs "debug listening on <addr>" once the endpoint is up.
-debug_addr=""
-for _ in $(seq 1 50); do
-    debug_addr=$(sed -n 's/^collectd: debug listening on //p' "$workdir/collectd.log")
-    [ -n "$debug_addr" ] && break
-    kill -0 "$pid" 2>/dev/null || { cat "$workdir/collectd.log"; exit 1; }
-    sleep 0.1
-done
-if [ -z "$debug_addr" ]; then
-    echo "metrics-smoke: collectd never announced its debug listener" >&2
-    cat "$workdir/collectd.log" >&2
+echo "==> booting a durable 2-shard notaryd with a debug listener"
+"$workdir/notaryd" -addr 127.0.0.1:0 -data "$workdir/notary" -shards 2 -prefeed 200 \
+    -debug 127.0.0.1:0 >"$workdir/notaryd.log" 2>&1 &
+pid=$!
+scrape notaryd "$(debug_addr notaryd "$workdir/notaryd.log" "$pid")"
+
+echo "==> SIGINT: notaryd drains, checkpoints and exits 0"
+kill -INT "$pid"
+if ! wait "$pid"; then
+    echo "metrics-smoke: notaryd did not exit cleanly on SIGINT" >&2
+    cat "$workdir/notaryd.log" >&2
+    exit 1
+fi
+pid=""
+
+echo "==> tangled fsck over the 2-shard data directory"
+"$workdir/tangled" fsck "$workdir/notary" | tee "$workdir/fsck.txt"
+if [ "$(grep -c '^fsck .*/shard-00[01]$' "$workdir/fsck.txt")" -ne 2 ]; then
+    echo "metrics-smoke: fsck did not report both shards" >&2
     exit 1
 fi
 
-echo "==> scraping http://$debug_addr/debug/vars"
-"$workdir/obsget" -check "http://$debug_addr/debug/vars" >"$workdir/snapshot.json"
-head -c 400 "$workdir/snapshot.json"; echo
+echo "==> a reboot at the default width must refuse the 2-shard directory"
+status=0
+timeout 60 "$workdir/notaryd" -addr 127.0.0.1:0 -data "$workdir/notary" -prefeed 0 \
+    >"$workdir/reboot.log" 2>&1 || status=$?
+cat "$workdir/reboot.log"
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ] || ! grep -q 'holds 2 shards' "$workdir/reboot.log"; then
+    echo "metrics-smoke: notaryd at 1 shard did not refuse a 2-shard data directory (exit $status)" >&2
+    exit 1
+fi
 
-echo "metrics-smoke: debug endpoint serves well-formed snapshot JSON"
+echo "metrics-smoke: debug endpoints serve well-formed snapshot JSON; notaryd shuts down, checks and refuses as documented"

@@ -31,7 +31,7 @@ echo "==> perfbench: vet + test the benchmark module"
 echo "==> tangledlint ./..."
 go run ./cmd/tangledlint -baseline lint-baseline.txt ./...
 
-echo "==> metrics-smoke: debug endpoint sanity"
+echo "==> metrics-smoke: debug endpoints and the notaryd lifecycle"
 ./scripts/metrics_smoke.sh
 
 echo "==> dataset-smoke: interchange round-trip + corruption rejection"
@@ -54,10 +54,12 @@ fi
 # A brief run of each byte-decoder fuzzer: a regression guard for the
 # decoders of untrusted input rather than a search. A failing input is
 # written under the package's testdata/fuzz/ for replay.
-echo "==> fuzz: request lines, WAL frames and the tap parser, 10s each"
+echo "==> fuzz: request lines, WAL frames, snapshots, columnar datasets and the tap parser, 10s each"
 go test -run '^$' -fuzz '^FuzzCollectRequest$' -fuzztime 10s ./internal/collect/
 go test -run '^$' -fuzz '^FuzzNotarynetRequest$' -fuzztime 10s ./internal/notarynet/
 go test -run '^$' -fuzz '^FuzzWALScan$' -fuzztime 10s ./internal/notary/
+go test -run '^$' -fuzz '^FuzzSnapshotLoad$' -fuzztime 10s ./internal/notary/
+go test -run '^$' -fuzz '^FuzzColumnarRead$' -fuzztime 10s ./internal/dataset/
 go test -run '^$' -fuzz '^FuzzTapParser$' -fuzztime 10s ./internal/tap/
 
 echo "==> go test -race ./..."
