@@ -7,6 +7,7 @@ import (
 
 	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/certgen"
+	"tangledmass/internal/corpus"
 	"tangledmass/internal/notary"
 	"tangledmass/internal/population"
 	"tangledmass/internal/tlsnet"
@@ -327,6 +328,44 @@ func TestFigure3AndTables(t *testing.T) {
 	for name, v := range byName3 {
 		if r := float64(v.Validated) / ref; r < 0.95 || r > 1.05 {
 			t.Errorf("%s validated ratio %.3f vs AOSP 4.4, want near 1", name, r)
+		}
+	}
+}
+
+// TestValidationSignatureChecks pins the signature verifications of the
+// paper pass's validation sweep, Table 3 then the Figure 3 categories,
+// over a fresh corpus and a 2,000-leaf world. One worker makes the count
+// exact: two workers can both miss the memo on one edge. The verifier
+// checks only edges into issuers that can reach a studied root, and about
+// a quarter of the leaves chain only to roots in no store, so the sweep
+// verifies fewer signatures than there are leaves to attribute.
+func TestValidationSignatureChecks(t *testing.T) {
+	u := cauniverse.Default()
+	for _, tc := range []struct {
+		seed               int64
+		table3, categories int64
+	}{
+		{1, 1399, 33},
+		{7, 1379, 42},
+	} {
+		w, err := tlsnet.NewWorld(tlsnet.Config{Seed: tc.seed, NumLeaves: 2000, Universe: u})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := corpus.New()
+		n := notary.New(certgen.Epoch, notary.WithCorpus(c), notary.WithWorkers(1))
+		tlsnet.Feed(w, n)
+		start := c.Stats().SignatureChecks
+		Table3(n, u)
+		mid := c.Stats().SignatureChecks
+		ValidateCategories(n, Figure3Categories(u))
+		end := c.Stats().SignatureChecks
+		if mid-start != tc.table3 || end-mid != tc.categories {
+			t.Errorf("seed %d: Table 3 checked %d signatures and the categories %d, want %d and %d",
+				tc.seed, mid-start, end-mid, tc.table3, tc.categories)
+		}
+		if leaves := len(n.UnexpiredLeafRefs()); end-start >= int64(leaves) {
+			t.Errorf("seed %d: the sweep checked %d signatures for %d unexpired leaves, want fewer", tc.seed, end-start, leaves)
 		}
 	}
 }

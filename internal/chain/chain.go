@@ -14,6 +14,10 @@
 // uint32 handles (so every verifier over one corpus checks an edge once),
 // and the pool key is derived from precomputed content digests instead of
 // re-fingerprinting the pool.
+//
+// Path building checks no signature into an issuer that cannot reach a
+// trusted root by issuer-name links, which construction works out once:
+// leaves that chain only to roots outside the store cost no verification.
 package chain
 
 import (
@@ -71,12 +75,18 @@ type Verifier struct {
 
 // candidate is one issuer-pool slot: the member's precomputed subject key
 // (corpus.Entry.SubjectKey), its handle, and its position in candidate
-// order, which breaks key ties.
+// order, which breaks key ties. Once the pool is built, pos's top bit
+// (liveBit) marks a candidate that can reach a trusted root; nothing reads
+// the order after construction, and a candidate stays 16 bytes.
 type candidate struct {
 	key uint64
 	ref corpus.Ref
 	pos uint32
 }
+
+const liveBit = 1 << 31
+
+func (c candidate) live() bool { return c.pos&liveBit != 0 }
 
 // NewVerifier returns a Verifier trusting roots, able to cross the given
 // intermediates, evaluating validity at the instant at. Certificates are
@@ -141,10 +151,40 @@ func NewVerifierFromStore(s *rootstore.Store, intermediates []corpus.Ref, at tim
 		if int(cand.pos) >= s.Len() {
 			v.poolSum.XOR(c.Entry(cand.ref).Digest)
 		}
+		// A trusted root is live: a store member, or an intermediate
+		// sharing a root's identity.
+		if int(cand.pos) < s.Len() || v.isRoot(cand.ref) {
+			cand.pos |= liveBit
+		}
 		kept = append(kept, cand)
 	}
 	v.pool = kept
+	v.markLive()
 	return v
+}
+
+// markLive extends liveBit from the trusted roots to a fixed point: a
+// candidate whose issuer is the subject of a live CA candidate is live.
+// It ignores signatures, validity, depth and the visited set, so every
+// path extend can build crosses live candidates only.
+func (v *Verifier) markLive() {
+	pool := v.pool
+	for changed := true; changed; {
+		changed = false
+		for i := range pool {
+			if pool[i].live() {
+				continue
+			}
+			e := v.c.Entry(pool[i].ref)
+			for _, issuer := range v.keyRun(e.IssuerKey) {
+				if issuer.live() && v.names(issuer.ref, e) {
+					pool[i].pos |= liveBit
+					changed = true
+					break
+				}
+			}
+		}
+	}
 }
 
 // SetMaxDepth overrides the path-length bound. Values < 2 are ignored.
@@ -170,27 +210,38 @@ func (v *Verifier) isRoot(ref corpus.Ref) bool {
 	return v.roots.ContainsHandle(v.c.IdentityRefOf(ref))
 }
 
-// candidateIssuers returns pool refs whose subject matches c's issuer, that
-// are marked CA, and that verify c's signature, in candidate order. The
-// lookup is a binary search on the issuer's precomputed key; a key match
-// is confirmed on the raw name bytes. The signature check is the corpus's
-// memoized one: it depends on the two certificates alone, never on this
-// verifier's roots, instant or depth.
-func (v *Verifier) candidateIssuers(ref corpus.Ref) []corpus.Ref {
-	e := v.c.Entry(ref)
-	i, _ := slices.BinarySearchFunc(v.pool, e.IssuerKey, func(cand candidate, key uint64) int {
+// keyRun returns the pool slots whose subject key is key, in candidate
+// order: a binary search on the precomputed keys.
+func (v *Verifier) keyRun(key uint64) []candidate {
+	i, _ := slices.BinarySearchFunc(v.pool, key, func(cand candidate, key uint64) int {
 		return cmp.Compare(cand.key, key)
 	})
+	j := i
+	for j < len(v.pool) && v.pool[j].key == key {
+		j++
+	}
+	return v.pool[i:j]
+}
+
+// names reports whether issuer is a CA whose raw subject is e's issuer:
+// the link a path may cross, before any signature is checked.
+func (v *Verifier) names(issuer corpus.Ref, e *corpus.Entry) bool {
+	cert := v.c.Cert(issuer)
+	return cert.IsCA && bytes.Equal(cert.RawSubject, e.Cert.RawIssuer)
+}
+
+// candidateIssuers returns the pool refs that are live, name ref's issuer
+// and verify ref's signature, in candidate order. A dead candidate is
+// skipped before its signature is checked: no path through it validates.
+// The signature check is the corpus's memoized one: it depends on the two
+// certificates alone, never on this verifier's roots, instant or depth.
+func (v *Verifier) candidateIssuers(ref corpus.Ref) []corpus.Ref {
+	e := v.c.Entry(ref)
 	var out []corpus.Ref
-	for ; i < len(v.pool) && v.pool[i].key == e.IssuerKey; i++ {
-		cand := v.c.Cert(v.pool[i].ref)
-		if !bytes.Equal(cand.RawSubject, e.Cert.RawIssuer) || !cand.IsCA {
-			continue
+	for _, cand := range v.keyRun(e.IssuerKey) {
+		if cand.live() && v.names(cand.ref, e) && v.c.CheckSignature(ref, cand.ref) {
+			out = append(out, cand.ref)
 		}
-		if !v.c.CheckSignature(ref, v.pool[i].ref) {
-			continue
-		}
-		out = append(out, v.pool[i].ref)
 	}
 	return out
 }

@@ -8,10 +8,12 @@ import (
 	"tangledmass/internal/corpus"
 )
 
-// NaiveVerifier is the baseline path builder for the chain-index ablation:
-// it scans every pool certificate linearly when looking for an issuer
-// instead of indexing candidates by subject. Results are identical to
-// Verifier; only the lookup strategy differs.
+// NaiveVerifier is the baseline path builder for the chain-index ablation
+// and the reference the verifier property tests compare against: it scans
+// every pool certificate linearly when looking for an issuer and checks
+// the signature of every name-matching CA. Verifier indexes candidates by
+// subject and checks no signature into an issuer that cannot reach a
+// trusted root; their verdicts are identical.
 type NaiveVerifier struct {
 	at       time.Time
 	maxDepth int

@@ -65,11 +65,20 @@ func sweep(v *Verifier, probes []*x509.Certificate) ([][]certid.Identity, int64)
 // Table 3 and category sweeps — and compares them with the same verifiers
 // over fresh, separate corpora.
 //
-// Edges each sweep checks, with n = leavesPer: every leaf → its
-// intermediate (4n), the I1 leaves → I1x (n), the forged
-// leaf → I0 (1, fails), plus the intermediate → root edges whose root is
-// in the pool: I0→R0 and I1→R1 for {R0,R1}; I1→R1, I1x→R2 and I2→R2 for
-// {R1,R2}. After the first sweep only the two edges into R2 are new.
+// A verifier checks only edges into issuers that can reach one of its
+// roots by name: in {R0,R1} those are R0, R1, I0 and I1; in {R1,R2} they
+// are R1, R2, I1, I1x and I2. Edges each sweep checks, with n = leavesPer:
+//
+//   - {R0,R1}: the I0 and I1 leaves → their intermediate (2n), the forged
+//     leaf → I0 (1, fails), I0→R0 and I1→R1 (2): 2n+3. The I1 leaves →
+//     I1x, and every edge into I2 or I3, would end at a root outside the
+//     pool and go unchecked.
+//   - {R1,R2} on a fresh corpus: the I1 leaves → I1 and → I1x (2n), the
+//     I2 leaves → I2 (n), I1→R1, I1x→R2 and I2→R2 (3): 3n+3. The forged
+//     leaf's issuer I0 cannot reach R1 or R2, so it costs nothing.
+//   - {R1,R2} after {R0,R1} on the shared corpus: only the edges the first
+//     sweep pruned are new, the I1 leaves → I1x, the I2 leaves → I2, I1x→R2
+//     and I2→R2: 2n+2.
 func TestSignatureMemoSharedAcrossVerifiers(t *testing.T) {
 	p := buildMemoPKI(t)
 	probes := append(append([]*x509.Certificate{}, p.leaves...), p.forged)
@@ -84,14 +93,14 @@ func TestSignatureMemoSharedAcrossVerifiers(t *testing.T) {
 	if !reflect.DeepEqual(gotA, wantA) || !reflect.DeepEqual(gotB, wantB) {
 		t.Fatalf("shared-corpus answers differ from fresh corpora:\nfirst  %v\n  want %v\nsecond %v\n  want %v", gotA, wantA, gotB, wantB)
 	}
-	if want := int64(5*leavesPer + 3); nA != want || freshA != want {
+	if want := int64(2*leavesPer + 3); nA != want || freshA != want {
 		t.Fatalf("first sweep ran %d verifications (fresh corpus %d), want %d", nA, freshA, want)
 	}
-	if want := int64(5*leavesPer + 4); freshB != want {
+	if want := int64(3*leavesPer + 3); freshB != want {
 		t.Fatalf("second sweep on a fresh corpus ran %d verifications, want %d", freshB, want)
 	}
-	if nB != 2 {
-		t.Fatalf("second sweep on the shared corpus ran %d verifications, want 2 (the edges into R2)", nB)
+	if want := int64(2*leavesPer + 2); nB != want {
+		t.Fatalf("second sweep on the shared corpus ran %d verifications, want %d (the edges the first sweep pruned)", nB, want)
 	}
 
 	// Cross-signing is visible: an I1 leaf reaches R1 and R2 in the second

@@ -565,11 +565,12 @@ type edge struct{ child, parent Ref }
 // may sign certificates). The outcome depends only on the two
 // certificates' bytes, and refs are content addresses, so it is memoized
 // here by ref pair rather than in any verifier: every verifier over this
-// corpus, whatever its trusted roots, checks a given edge once. Both
-// outcomes are memoized, so a failed check stays failed. Expiry, trust and
-// path constraints are not part of the outcome; callers judge them. The
-// memo holds one entry per distinct edge checked, for the corpus's
-// lifetime. Invalid refs report false.
+// corpus, whatever its trusted roots, checks a given edge once; a
+// chain.Verifier asks only about edges that can reach one of its roots.
+// Both outcomes are memoized, so a failed check stays failed. Expiry,
+// trust and path constraints are not part of the outcome; callers judge
+// them. The memo holds one entry per distinct edge checked, for the
+// corpus's lifetime. Invalid refs report false.
 func (c *Corpus) CheckSignature(child, parent Ref) bool {
 	k := edge{child, parent}
 	c.sigMu.Lock()

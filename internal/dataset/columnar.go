@@ -10,10 +10,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 
-	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/corpus"
 	"tangledmass/internal/device"
 	"tangledmass/internal/parallel"
@@ -66,11 +64,6 @@ const columnarMagic = "TANGLED-DATASET-COL1\n"
 // maxColumnarSections bounds the directory a reader will accept; the format
 // defines nine.
 const maxColumnarSections = 64
-
-// maxHandsetSessions bounds one handset's session count on read: Read
-// materializes every session, so the count sizes an allocation. Generated
-// fleets stay under 10 (8 at paper scale).
-const maxHandsetSessions = 1 << 10
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -478,6 +471,32 @@ func (cb *colBuf) take(n int) ([]byte, error) {
 	return out, nil
 }
 
+// stringPool decodes a count, then that many length-prefixed strings.
+// Every string takes at least one byte, so a count the section cannot hold
+// is refused before it sizes the pool.
+func (cb *colBuf) stringPool() ([]string, error) {
+	n, err := cb.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(cb.b)) {
+		return nil, fmt.Errorf("dataset: section %q: implausible pool size %d", cb.name, n)
+	}
+	pool := make([]string, n)
+	for i := range pool {
+		ln, err := cb.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		s, err := cb.take(int(ln))
+		if err != nil {
+			return nil, err
+		}
+		pool[i] = string(s)
+	}
+	return pool, nil
+}
+
 // count reads the leading element count and checks it against the meta
 // section's count. Every entry takes at least one byte, so a count the
 // rest of the section cannot hold is refused before anything is sized
@@ -520,21 +539,30 @@ type columns struct {
 	policies [][]device.ValidationPolicy
 }
 
+// readMeta decodes the meta section: the handset, certificate and session
+// counts.
+func (cd *columnarDir) readMeta(handsets, certs, sessions *int) error {
+	buf, err := cd.read("meta")
+	if err != nil {
+		return err
+	}
+	meta := &colBuf{name: "meta", b: buf}
+	for _, dst := range []*int{handsets, certs, sessions} {
+		v, err := meta.uvarint()
+		if err != nil {
+			return err
+		}
+		*dst = int(v)
+	}
+	return nil
+}
+
 // decodeColumns reads every section, verifies checksums and decodes the
 // columns with full bounds validation.
 func decodeColumns(cd *columnarDir) (*columns, error) {
 	var c columns
-	metaBuf, err := cd.read("meta")
-	if err != nil {
+	if err := cd.readMeta(&c.handsets, &c.certs, &c.sessions); err != nil {
 		return nil, err
-	}
-	meta := &colBuf{name: "meta", b: metaBuf}
-	for _, dst := range []*int{&c.handsets, &c.certs, &c.sessions} {
-		v, err := meta.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		*dst = int(v)
 	}
 	n := c.handsets
 
@@ -579,24 +607,8 @@ func decodeColumns(cd *columnarDir) (*columns, error) {
 		return nil, err
 	}
 	prof := &colBuf{name: "profiles", b: profBuf}
-	poolLen, err := prof.uvarint()
-	if err != nil {
+	if c.pool, err = prof.stringPool(); err != nil {
 		return nil, err
-	}
-	if poolLen > uint64(len(profBuf)) {
-		return nil, fmt.Errorf("dataset: section \"profiles\": implausible pool size %d", poolLen)
-	}
-	c.pool = make([]string, poolLen)
-	for i := range c.pool {
-		ln, err := prof.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		s, err := prof.take(int(ln))
-		if err != nil {
-			return nil, err
-		}
-		c.pool[i] = string(s)
 	}
 	if err := prof.count(n); err != nil {
 		return nil, err
@@ -607,16 +619,10 @@ func decodeColumns(cd *columnarDir) (*columns, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v >= poolLen {
+		if v >= uint64(len(c.pool)) {
 			return nil, fmt.Errorf("dataset: section \"profiles\": pool index %d out of range", v)
 		}
 		c.profIdx[i] = uint32(v)
-	}
-	versions := cauniverse.AOSPVersions()
-	for i := 4; i < len(c.profIdx); i += 5 {
-		if v := c.pool[c.profIdx[i]]; !slices.Contains(versions, v) {
-			return nil, fmt.Errorf("dataset: section \"profiles\": handset %d runs Android %q, which has no AOSP store", i/5, v)
-		}
 	}
 
 	flagsBuf, err := cd.read("flags")
@@ -646,8 +652,8 @@ func decodeColumns(cd *columnarDir) (*columns, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v > maxHandsetSessions {
-			return nil, fmt.Errorf("dataset: section \"sessions\": handset %d claims %d sessions", i, v)
+		if err := checkHandset(i, c.pool[c.profIdx[5*i+4]], int(v)); err != nil {
+			return nil, err
 		}
 		c.sessionN[i] = int(v)
 		total += int(v)
@@ -713,25 +719,11 @@ func decodeColumns(cd *columnarDir) (*columns, error) {
 			return nil, err
 		}
 		ab := &colBuf{name: "apps", b: appsBuf}
-		appPoolLen, err := ab.uvarint()
+		appPool, err := ab.stringPool()
 		if err != nil {
 			return nil, err
 		}
-		if appPoolLen > uint64(len(appsBuf)) {
-			return nil, fmt.Errorf("dataset: section \"apps\": implausible pool size %d", appPoolLen)
-		}
-		appPool := make([]string, appPoolLen)
-		for i := range appPool {
-			ln, err := ab.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			s, err := ab.take(int(ln))
-			if err != nil {
-				return nil, err
-			}
-			appPool[i] = string(s)
-		}
+		appPoolLen := uint64(len(appPool))
 		if err := ab.count(n); err != nil {
 			return nil, err
 		}
@@ -894,19 +886,8 @@ func inspectColumnar(dir string, cfg config, full bool) (*Info, error) {
 			return nil, err
 		}
 		info.Handsets, info.Certs, info.Sessions = cols.handsets, cols.certs, cols.sessions
-	} else {
-		metaBuf, err := cd.read("meta")
-		if err != nil {
-			return nil, err
-		}
-		meta := &colBuf{name: "meta", b: metaBuf}
-		for _, dst := range []*int{&info.Handsets, &info.Certs, &info.Sessions} {
-			v, err := meta.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			*dst = int(v)
-		}
+	} else if err := cd.readMeta(&info.Handsets, &info.Certs, &info.Sessions); err != nil {
+		return nil, err
 	}
 	cfg.observer.Counter(KeyReadBytes).Add(cd.bytesRead)
 	return info, nil

@@ -31,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 
 	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/corpus"
@@ -43,6 +44,23 @@ const (
 	handsetsFile = "handsets.jsonl"
 	columnarFile = "handsets.col"
 )
+
+// maxHandsetSessions bounds one handset's session count on read: Read
+// materializes every session, so the count sizes an allocation. Generated
+// fleets stay under 10 (8 at paper scale).
+const maxHandsetSessions = 1 << 10
+
+// checkHandset rejects a handset population.Assemble cannot take. Both
+// formats' decoders call it on every handset, for Read and Verify alike.
+func checkHandset(id int, version string, sessions int) error {
+	if !slices.Contains(cauniverse.AOSPVersions(), version) {
+		return fmt.Errorf("dataset: handset %d runs Android %q, which has no AOSP store", id, version)
+	}
+	if sessions < 0 || sessions > maxHandsetSessions {
+		return fmt.Errorf("dataset: handset %d claims %d sessions", id, sessions)
+	}
+	return nil
+}
 
 // Format selects a dataset's on-disk layout.
 type Format int
@@ -220,7 +238,7 @@ func (r *Reader) Inspect(ctx context.Context) (*Info, error) {
 	case Columnar:
 		return inspectColumnar(r.dir, r.cfg, false)
 	default:
-		return inspectJSONL(r.dir, r.cfg, false)
+		return inspectJSONL(ctx, r.dir, r.cfg, false)
 	}
 }
 
@@ -236,6 +254,6 @@ func (r *Reader) Verify(ctx context.Context) (*Info, error) {
 	case Columnar:
 		return inspectColumnar(r.dir, r.cfg, true)
 	default:
-		return inspectJSONL(r.dir, r.cfg, true)
+		return inspectJSONL(ctx, r.dir, r.cfg, true)
 	}
 }

@@ -168,6 +168,46 @@ func writeJSONL(ctx context.Context, dir string, p *population.Population, cfg c
 	return nil
 }
 
+// eachRecord decodes every non-blank line of dir's handsets.jsonl, checks
+// the handset and hands the record to fn, in file order. It returns the
+// file's size.
+func eachRecord(ctx context.Context, dir string, fn func(HandsetRecord) error) (int64, error) {
+	hf, err := os.Open(filepath.Join(dir, handsetsFile))
+	if err != nil {
+		return 0, fmt.Errorf("dataset: opening handsets: %w", err)
+	}
+	defer hf.Close()
+	scanner := bufio.NewScanner(hf)
+	scanner.Buffer(make([]byte, 64<<10), 8<<20)
+	for scanner.Scan() {
+		line := scanner.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return 0, fmt.Errorf("dataset: read cancelled: %w", err)
+		}
+		var rec HandsetRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return 0, fmt.Errorf("dataset: handset record: %w", err)
+		}
+		if err := checkHandset(rec.ID, rec.Version, rec.Sessions); err != nil {
+			return 0, err
+		}
+		if err := fn(rec); err != nil {
+			return 0, err
+		}
+	}
+	st, err := hf.Stat()
+	if err == nil {
+		err = scanner.Err()
+	}
+	if err != nil {
+		return 0, fmt.Errorf("dataset: scanning handsets: %w", err)
+	}
+	return st.Size(), nil
+}
+
 // readJSONL loads the v1 format. Certificates are interned into the
 // configured corpus once, at PEM-parse time; every fingerprint then resolves
 // to a corpus.Ref handle and stores are reconstructed by handle — nothing is
@@ -187,48 +227,22 @@ func readJSONL(ctx context.Context, dir string, cfg config) (*population.Populat
 	for _, ref := range refs {
 		byFP[cfg.corpus.Entry(ref).SHA256] = ref
 	}
-	resolveFPs := func(fps []string, what string, id int) ([]corpus.Ref, error) {
-		out := make([]corpus.Ref, 0, len(fps))
+	// storeOf rebuilds one of a handset's stores by handle from its
+	// fingerprints.
+	storeOf := func(fps []string, what string, id int, name string) (*rootstore.Store, error) {
+		s := rootstore.NewSized(name+" "+what, cfg.corpus, len(fps))
 		for _, fp := range fps {
 			ref, ok := byFP[fp]
 			if !ok {
 				return nil, fmt.Errorf("dataset: handset %d references unknown %s certificate %s", id, what, fp)
 			}
-			out = append(out, ref)
+			s.AddRef(ref)
 		}
-		return out, nil
+		return s, nil
 	}
 
-	hf, err := os.Open(filepath.Join(dir, handsetsFile))
-	if err != nil {
-		return nil, fmt.Errorf("dataset: opening handsets: %w", err)
-	}
-	defer hf.Close()
-	var read int64
-	scanner := bufio.NewScanner(hf)
-	scanner.Buffer(make([]byte, 64<<10), 8<<20)
 	var handsets []*population.Handset
-	for scanner.Scan() {
-		line := scanner.Bytes()
-		read += int64(len(line)) + 1
-		if len(line) == 0 {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("dataset: read cancelled: %w", err)
-		}
-		var rec HandsetRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("dataset: handset record: %w", err)
-		}
-		sysRefs, err := resolveFPs(rec.System, "system", rec.ID)
-		if err != nil {
-			return nil, err
-		}
-		usrRefs, err := resolveFPs(rec.User, "user", rec.ID)
-		if err != nil {
-			return nil, err
-		}
+	size, err := eachRecord(ctx, dir, func(rec HandsetRecord) error {
 		prof := device.Profile{
 			Model:        rec.Model,
 			Manufacturer: rec.Manufacturer,
@@ -239,15 +253,15 @@ func readJSONL(ctx context.Context, dir string, cfg config) (*population.Populat
 		// Reconstruct the device by handle: the serialized system store is
 		// an exact snapshot of the device's system image; user certificates
 		// arrive in their own store; rooting is restored directly.
-		system := rootstore.NewSized(prof.Manufacturer+" "+prof.Model+" system", cfg.corpus, len(sysRefs))
-		for _, ref := range sysRefs {
-			system.AddRef(ref)
+		name := prof.Manufacturer + " " + prof.Model
+		system, err := storeOf(rec.System, "system", rec.ID, name)
+		if err != nil {
+			return err
 		}
 		var user *rootstore.Store
-		if len(usrRefs) > 0 {
-			user = rootstore.NewSized(prof.Manufacturer+" "+prof.Model+" user", cfg.corpus, len(usrRefs))
-			for _, ref := range usrRefs {
-				user.AddRef(ref)
+		if len(rec.User) > 0 {
+			if user, err = storeOf(rec.User, "user", rec.ID, name); err != nil {
+				return err
 			}
 		}
 		dev := device.Restore(prof, system, user, rec.Rooted)
@@ -261,11 +275,12 @@ func readJSONL(ctx context.Context, dir string, cfg config) (*population.Populat
 			SessionCount:    rec.Sessions,
 			Intercepted:     rec.Intercepted,
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: scanning handsets: %w", err)
-	}
-	cfg.observer.Counter(KeyReadBytes).Add(read)
+	cfg.observer.Counter(KeyReadBytes).Add(size)
 	// A JSONL load reconstructs the population as one sequential batch.
 	cfg.observer.Counter(KeyBatchesMerged).Inc()
 	return population.Assemble(cfg.universe, handsets), nil
@@ -274,7 +289,7 @@ func readJSONL(ctx context.Context, dir string, cfg config) (*population.Populat
 // inspectJSONL summarizes (and with full set, integrity-checks) a v1
 // dataset: full resolves every fingerprint reference and interns every
 // certificate; the cheap path only counts blocks and records.
-func inspectJSONL(dir string, cfg config, full bool) (*Info, error) {
+func inspectJSONL(ctx context.Context, dir string, cfg config, full bool) (*Info, error) {
 	certData, err := os.ReadFile(filepath.Join(dir, certsFile))
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading certs: %w", err)
@@ -303,38 +318,22 @@ func inspectJSONL(dir string, cfg config, full bool) (*Info, error) {
 		}
 	}
 
-	hf, err := os.Open(filepath.Join(dir, handsetsFile))
-	if err != nil {
-		return nil, fmt.Errorf("dataset: opening handsets: %w", err)
-	}
-	defer hf.Close()
-	if st, err := hf.Stat(); err == nil {
-		info.Bytes += st.Size()
-	}
-	scanner := bufio.NewScanner(hf)
-	scanner.Buffer(make([]byte, 64<<10), 8<<20)
-	for scanner.Scan() {
-		line := scanner.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec HandsetRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("dataset: handset record: %w", err)
-		}
+	size, err := eachRecord(ctx, dir, func(rec HandsetRecord) error {
 		if full {
 			for _, fp := range append(append([]string{}, rec.System...), rec.User...) {
 				if !byFP[fp] {
-					return nil, fmt.Errorf("dataset: handset %d references unknown certificate %s", rec.ID, fp)
+					return fmt.Errorf("dataset: handset %d references unknown certificate %s", rec.ID, fp)
 				}
 			}
 		}
 		info.Handsets++
 		info.Sessions += rec.Sessions
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: scanning handsets: %w", err)
-	}
+	info.Bytes += size
 	cfg.observer.Counter(KeyReadBytes).Add(info.Bytes)
 	return info, nil
 }

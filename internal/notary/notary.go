@@ -438,13 +438,14 @@ type LeafAttribution struct {
 // stores' roots (plus every observed CA as intermediate) and reports, per
 // leaf, the root identities validating it, in the order leaves were given.
 //
-// Path building is the expensive step (one ECDSA verification per new
-// issuer edge); leaves are independent, so they fan across the parallel
-// engine, answering repeated (pool, leaf) lookups from the chain cache.
-// The verifier is safe for concurrent use: its indexes are read-only
-// after construction and signature checks are memoized on the corpus, so
-// a later sweep over the same leaves with different stores re-checks no
-// leaf→issuer edge.
+// Path building is the expensive step: one ECDSA verification per new
+// issuer edge that can reach one of the stores' roots, so a leaf chaining
+// only to roots in none of them costs none. Leaves are independent, so
+// they fan across the parallel engine, answering repeated (pool, leaf)
+// lookups from the chain cache. The verifier is safe for concurrent use:
+// its indexes are read-only after construction and signature checks are
+// memoized on the corpus, so a later sweep with different stores re-checks
+// no edge and checks only those its new roots make reachable.
 func (n *Notary) AttributeLeaves(stores []*rootstore.Store, leaves []corpus.Ref) []LeafAttribution {
 	union := rootstore.Union("union", stores...)
 	cas := n.observedCARefs()

@@ -54,12 +54,13 @@ fi
 # A brief run of each byte-decoder fuzzer: a regression guard for the
 # decoders of untrusted input rather than a search. A failing input is
 # written under the package's testdata/fuzz/ for replay.
-echo "==> fuzz: request lines, WAL frames, snapshots, columnar datasets and the tap parser, 10s each"
+echo "==> fuzz: request lines, WAL frames, snapshots, columnar and JSONL datasets and the tap parser, 10s each"
 go test -run '^$' -fuzz '^FuzzCollectRequest$' -fuzztime 10s ./internal/collect/
 go test -run '^$' -fuzz '^FuzzNotarynetRequest$' -fuzztime 10s ./internal/notarynet/
 go test -run '^$' -fuzz '^FuzzWALScan$' -fuzztime 10s ./internal/notary/
 go test -run '^$' -fuzz '^FuzzSnapshotLoad$' -fuzztime 10s ./internal/notary/
 go test -run '^$' -fuzz '^FuzzColumnarRead$' -fuzztime 10s ./internal/dataset/
+go test -run '^$' -fuzz '^FuzzJSONLRead$' -fuzztime 10s ./internal/dataset/
 go test -run '^$' -fuzz '^FuzzTapParser$' -fuzztime 10s ./internal/tap/
 
 echo "==> go test -race ./..."
