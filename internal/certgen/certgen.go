@@ -17,7 +17,6 @@ import (
 	"crypto/elliptic"
 	"crypto/rsa"
 	"crypto/x509"
-	"crypto/x509/pkix"
 	"fmt"
 	"io"
 	"math/big"
@@ -66,7 +65,6 @@ type options struct {
 	dnsNames     []string
 	ipAddresses  []net.IP
 	isCA         bool
-	maxPath      int
 	permittedDNS []string
 }
 
@@ -272,28 +270,20 @@ func applyOptions(opts []Option) options {
 	return o
 }
 
-func subjectName(cn string, o options) pkix.Name {
-	return pkix.Name{
-		CommonName:   cn,
-		Organization: o.org,
-		Country:      o.country,
-	}
-}
-
 // pending is one certificate whose generator state — key, serial and
-// template — is fixed, waiting to be signed.
+// options — is fixed, waiting to be encoded and signed.
 type pending struct {
 	cn        string
-	tmpl      *x509.Certificate
-	parent    *x509.Certificate
+	o         options
+	serial    *big.Int
+	parent    *x509.Certificate // the issuer; nil for a self-signed certificate
 	key       crypto.Signer
 	signerKey crypto.Signer
 	rand      io.Reader
 }
 
-// prepareLocked resolves one certificate: key lookup or derivation, the
-// next serial and the template. parent == nil means self-signed. Callers
-// hold g.mu.
+// prepareLocked resolves one certificate: key lookup or derivation and the
+// next serial. parent == nil means self-signed. Callers hold g.mu.
 func (g *Generator) prepareLocked(cn string, parent *Issued, o options) (pending, error) {
 	keyName := o.keyName
 	if keyName == "" {
@@ -303,51 +293,11 @@ func (g *Generator) prepareLocked(cn string, parent *Issued, o options) (pending
 	if err != nil {
 		return pending{}, err
 	}
-	tmpl := &x509.Certificate{
-		SerialNumber:          g.nextSerial(),
-		Subject:               subjectName(cn, o),
-		NotBefore:             o.notBefore,
-		NotAfter:              o.notAfter,
-		BasicConstraintsValid: true,
-		IsCA:                  o.isCA,
-	}
-	if o.isCA {
-		tmpl.KeyUsage = x509.KeyUsageCertSign | x509.KeyUsageCRLSign
-		if o.maxPath > 0 {
-			tmpl.MaxPathLen = o.maxPath
-		}
-		if len(o.permittedDNS) > 0 {
-			tmpl.PermittedDNSDomainsCritical = true
-			tmpl.PermittedDNSDomains = o.permittedDNS
-		}
-	} else {
-		tmpl.KeyUsage = x509.KeyUsageDigitalSignature | x509.KeyUsageKeyEncipherment
-		tmpl.ExtKeyUsage = []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth, x509.ExtKeyUsageClientAuth}
-		tmpl.DNSNames = o.dnsNames
-		tmpl.IPAddresses = o.ipAddresses
-	}
-	p := pending{cn: cn, tmpl: tmpl, parent: tmpl, key: key, signerKey: key, rand: newDRBG(g.seed, "sig/"+cn)}
+	p := pending{cn: cn, o: o, serial: g.nextSerial(), key: key, signerKey: key, rand: newDRBG(g.seed, "sig/"+cn)}
 	if parent != nil {
 		p.parent, p.signerKey = parent.Cert, parent.Key
 	}
 	return p, nil
-}
-
-// sign creates the certificate — CreateCertificate also verifies the
-// signature it just made — and re-parses the DER. It touches no generator
-// state, so it runs without g.mu: every pending owns its signing stream,
-// and the keys certgen derives (ECDSA, and RSA with precomputed values)
-// are safe for concurrent Sign calls.
-func (p pending) sign() (*Issued, error) {
-	der, err := x509.CreateCertificate(p.rand, p.tmpl, p.parent, p.key.Public(), p.signerKey)
-	if err != nil {
-		return nil, fmt.Errorf("certgen: creating certificate %q: %w", p.cn, err)
-	}
-	cert, err := x509.ParseCertificate(der)
-	if err != nil {
-		return nil, fmt.Errorf("certgen: re-parsing certificate %q: %w", p.cn, err)
-	}
-	return &Issued{Cert: cert, Key: p.key}, nil
 }
 
 // issue prepares one certificate under g.mu and signs it after releasing
@@ -357,6 +307,9 @@ func (g *Generator) issue(cn string, parent *Issued, o options) (*Issued, error)
 	p, err := g.prepareLocked(cn, parent, o)
 	g.mu.Unlock()
 	if err != nil {
+		return nil, err
+	}
+	if err := checkSigners([]pending{p}); err != nil {
 		return nil, err
 	}
 	return p.sign()
@@ -404,10 +357,11 @@ type LeafRequest struct {
 // Leaves issues one end-entity certificate per request and returns them in
 // request order. It prepares every request, in order, under one
 // acquisition of g.mu, so it assigns the same keys and serials as that
-// many Leaf calls would; it then signs the batch in parallel. If any
-// request fails, Leaves returns the error of the lowest-indexed failure and
-// no certificates; serials drawn before the failure stay consumed, as
-// after a failed Leaf.
+// many Leaf calls would; it then checks each distinct signer once and
+// signs the batch in parallel. If any request fails, Leaves returns no
+// certificates and the error of the lowest-indexed failure, a signer's
+// failure before any signing failure; serials drawn before the failure
+// stay consumed, as after a failed Leaf.
 func (g *Generator) Leaves(reqs []LeafRequest) ([]*Issued, error) {
 	ps := make([]pending, len(reqs))
 	g.mu.Lock()
@@ -420,6 +374,9 @@ func (g *Generator) Leaves(reqs []LeafRequest) ([]*Issued, error) {
 		ps[i] = p
 	}
 	g.mu.Unlock()
+	if err := checkSigners(ps); err != nil {
+		return nil, err
+	}
 	return parallel.Map(context.Background(), len(ps), func(_ context.Context, i int) (*Issued, error) {
 		return ps[i].sign()
 	})

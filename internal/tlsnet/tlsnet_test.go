@@ -319,6 +319,27 @@ func TestWorldContentPinned(t *testing.T) {
 	}
 }
 
+// TestWorldLeavesVerify checks every leaf's signature against its issuer
+// with the standard library, independently of the check certgen makes
+// while issuing.
+func TestWorldLeavesVerify(t *testing.T) {
+	for _, seed := range []int64{1, 7} {
+		u, err := cauniverse.New(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorld(Config{Seed: seed, Universe: u, NumLeaves: 2000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range w.Leaves() {
+			if err := l.Chain[0].CheckSignatureFrom(l.Chain[1]); err != nil {
+				t.Fatalf("seed %d, leaf %d: %v", seed, i, err)
+			}
+		}
+	}
+}
+
 // TestCloseWithSilentClient: a client that connects and never sends its
 // ClientHello must not hold up Close — the handshake's read is expired.
 func TestCloseWithSilentClient(t *testing.T) {

@@ -51,10 +51,11 @@ else
 	go test -race -run TestCrashpointSweep ./internal/notary/
 fi
 
-# A brief run of each byte-decoder fuzzer: a regression guard for the
-# decoders of untrusted input rather than a search. A failing input is
-# written under the package's testdata/fuzz/ for replay.
-echo "==> fuzz: request lines, WAL frames, snapshots, columnar and JSONL datasets and the tap parser, 10s each"
+# A brief run of each byte-decoder fuzzer, and of the differential fuzzer
+# that holds certgen's private-scalar signature check to
+# ecdsa.VerifyASN1: a regression guard rather than a search. A failing
+# input is written under the package's testdata/fuzz/ for replay.
+echo "==> fuzz: request lines, WAL frames, snapshots, columnar and JSONL datasets, the tap parser and certgen's signature check, 10s each"
 go test -run '^$' -fuzz '^FuzzCollectRequest$' -fuzztime 10s ./internal/collect/
 go test -run '^$' -fuzz '^FuzzNotarynetRequest$' -fuzztime 10s ./internal/notarynet/
 go test -run '^$' -fuzz '^FuzzWALScan$' -fuzztime 10s ./internal/notary/
@@ -62,6 +63,7 @@ go test -run '^$' -fuzz '^FuzzSnapshotLoad$' -fuzztime 10s ./internal/notary/
 go test -run '^$' -fuzz '^FuzzColumnarRead$' -fuzztime 10s ./internal/dataset/
 go test -run '^$' -fuzz '^FuzzJSONLRead$' -fuzztime 10s ./internal/dataset/
 go test -run '^$' -fuzz '^FuzzTapParser$' -fuzztime 10s ./internal/tap/
+go test -run '^$' -fuzz '^FuzzSignatureCheck$' -fuzztime 10s ./internal/certgen/
 
 echo "==> go test -race ./..."
 go test -race ./...
@@ -71,7 +73,7 @@ go test -race ./...
 # the same process. Running these packages three times in one process
 # fails any test whose outcome depends on state an earlier run left behind.
 echo "==> count: certificate-minting tests, three runs per process"
-go test -count=3 ./internal/chain/ ./internal/rootstore/ ./internal/trusteval/ ./internal/corpus/ ./internal/certid/
+go test -count=3 ./internal/chain/ ./internal/rootstore/ ./internal/trusteval/ ./internal/corpus/ ./internal/certid/ ./internal/certgen/ ./internal/tlsnet/
 
 # The bench-gate compares the Table/Figure benchmarks against the committed
 # serial baseline and fails on a >25% ns/op regression or a >25% allocs/op
