@@ -9,9 +9,9 @@ import (
 
 // drbg is a deterministic byte stream built from SHA-256 in counter mode.
 // It exists so the CA universe can be regenerated bit-for-bit from a seed:
-// key generation consumes this stream instead of crypto/rand. The stream is
-// NOT suitable for production key generation — it is a simulation substrate,
-// which DESIGN.md documents as a dataset substitution.
+// key generation and signing nonces draw from it, not from crypto/rand. It
+// is NOT suitable for production key generation — it is a simulation
+// substrate, which DESIGN.md documents as a dataset substitution.
 type drbg struct {
 	key     [32]byte
 	counter uint64

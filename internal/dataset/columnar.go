@@ -540,7 +540,7 @@ type columns struct {
 }
 
 // readMeta decodes the meta section: the handset, certificate and session
-// counts.
+// counts. decodeColumns holds the per-handset counts to the session total.
 func (cd *columnarDir) readMeta(handsets, certs, sessions *int) error {
 	buf, err := cd.read("meta")
 	if err != nil {
@@ -554,7 +554,7 @@ func (cd *columnarDir) readMeta(handsets, certs, sessions *int) error {
 		}
 		*dst = int(v)
 	}
-	return nil
+	return checkSessionTotal(*sessions, cd.size)
 }
 
 // decodeColumns reads every section, verifies checksums and decodes the

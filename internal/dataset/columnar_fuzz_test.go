@@ -64,21 +64,30 @@ func layout(sections ...section) []byte {
 	return b
 }
 
-// oneHandset is a certificate-free file for one handset on Android
-// version, whose meta, ids and every column claim `handsets` handsets and
-// whose one handset claims `sessions` sessions.
-func oneHandset(handsets, sessions uint64, version string) []byte {
+// handsetFile is a certificate-free file of `rows` handsets on Android
+// version, each claiming `sessions` sessions, whose meta, ids and every
+// column claim `claimed` handsets.
+func handsetFile(claimed uint64, rows int, sessions uint64, version string) []byte {
 	u := binary.AppendUvarint
-	profiles := append(u(u(nil, 1), uint64(len(version))), version...)
+	ids := u(nil, claimed)
+	profiles := u(append(u(u(nil, 1), uint64(len(version))), version...), claimed)
+	flags, counts, stores := u(nil, claimed), u(nil, claimed), u(nil, claimed)
+	for i := 0; i < rows; i++ {
+		ids = binary.AppendVarint(ids, int64(7+i))
+		profiles = append(profiles, 0, 0, 0, 0, 0)
+		flags = append(flags, 0)
+		counts = u(counts, sessions)
+		stores = u(stores, 0)
+	}
 	return layout(
-		section{"meta", u(u(u(nil, handsets), 0), sessions)},
+		section{"meta", u(u(u(nil, claimed), 0), uint64(rows)*sessions)},
 		section{"der", u(nil, 0)},
-		section{"ids", binary.AppendVarint(u(nil, handsets), 7)},
-		section{"profiles", append(u(profiles, handsets), 0, 0, 0, 0, 0)},
-		section{"flags", append(u(nil, handsets), 0)},
-		section{"sessions", u(u(nil, handsets), sessions)},
-		section{"system", u(u(nil, handsets), 0)},
-		section{"user", u(u(nil, handsets), 0)},
+		section{"ids", ids},
+		section{"profiles", profiles},
+		section{"flags", flags},
+		section{"sessions", counts},
+		section{"system", stores},
+		section{"user", stores},
 	)
 }
 
@@ -112,10 +121,11 @@ func FuzzColumnarRead(f *testing.F) {
 	} {
 		f.Add(mutate(append([]byte(nil), written...)))
 	}
-	f.Add(oneHandset(1, 2, "4.4"))
-	f.Add(oneHandset(1<<62, 2, "4.4")) // a count no section can hold
-	f.Add(oneHandset(1, 1<<62, "4.4")) // a session claim that sizes Read's allocation
-	f.Add(oneHandset(1, 2, "9.9"))     // a version without an AOSP store
+	f.Add(handsetFile(1, 1, 2, "4.4"))
+	f.Add(handsetFile(1<<62, 1, 2, "4.4"))                  // a count no section can hold
+	f.Add(handsetFile(1, 1, 1<<62, "4.4"))                  // a session claim that sizes Read's allocation
+	f.Add(handsetFile(1, 1, 2, "9.9"))                      // a version without an AOSP store
+	f.Add(handsetFile(100, 100, maxHandsetSessions, "4.4")) // more sessions than the file has bytes
 
 	dir := f.TempDir()
 	ctx := context.Background()

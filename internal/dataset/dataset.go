@@ -62,6 +62,15 @@ func checkHandset(id int, version string, sessions int) error {
 	return nil
 }
 
+// checkSessionTotal refuses a fleet with more sessions than the file that
+// declares the counts has bytes; generated fleets spend over 50 a session.
+func checkSessionTotal(total int, size int64) error {
+	if total < 0 || int64(total) > size {
+		return fmt.Errorf("dataset: %d sessions declared in a %d-byte file", total, size)
+	}
+	return nil
+}
+
 // Format selects a dataset's on-disk layout.
 type Format int
 

@@ -169,14 +169,15 @@ func writeJSONL(ctx context.Context, dir string, p *population.Population, cfg c
 }
 
 // eachRecord decodes every non-blank line of dir's handsets.jsonl, checks
-// the handset and hands the record to fn, in file order. It returns the
-// file's size.
+// the handset and hands the record to fn, in file order, then checks the
+// session total. It returns the file's size.
 func eachRecord(ctx context.Context, dir string, fn func(HandsetRecord) error) (int64, error) {
 	hf, err := os.Open(filepath.Join(dir, handsetsFile))
 	if err != nil {
 		return 0, fmt.Errorf("dataset: opening handsets: %w", err)
 	}
 	defer hf.Close()
+	total := 0
 	scanner := bufio.NewScanner(hf)
 	scanner.Buffer(make([]byte, 64<<10), 8<<20)
 	for scanner.Scan() {
@@ -194,6 +195,7 @@ func eachRecord(ctx context.Context, dir string, fn func(HandsetRecord) error) (
 		if err := checkHandset(rec.ID, rec.Version, rec.Sessions); err != nil {
 			return 0, err
 		}
+		total += rec.Sessions
 		if err := fn(rec); err != nil {
 			return 0, err
 		}
@@ -205,7 +207,7 @@ func eachRecord(ctx context.Context, dir string, fn func(HandsetRecord) error) (
 	if err != nil {
 		return 0, fmt.Errorf("dataset: scanning handsets: %w", err)
 	}
-	return st.Size(), nil
+	return st.Size(), checkSessionTotal(total, st.Size())
 }
 
 // readJSONL loads the v1 format. Certificates are interned into the

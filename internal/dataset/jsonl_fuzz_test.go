@@ -85,6 +85,7 @@ func FuzzJSONLRead(f *testing.F) {
 	f.Add(first("sessions", fmt.Sprint(maxHandsetSessions+1)))         // a count that sizes Read's allocation
 	f.Add([]byte(`{"id":1,"version":"4.4","sessions":2,"system":[]}`)) // one bare handset
 	f.Add([]byte("null\n"))
+	f.Add(crowdedJSONL()) // more sessions than the file has bytes
 
 	dir, col := f.TempDir(), f.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, certsFile), certs, 0o644); err != nil {
@@ -123,6 +124,53 @@ func FuzzJSONLRead(f *testing.F) {
 			t.Fatalf("the columnar copy reads back differently: %v", err)
 		}
 	})
+}
+
+// crowdedJSONL is a handsets.jsonl of 100 bare handsets at the
+// per-handset session bound: 102,400 sessions in about 5 kB.
+func crowdedJSONL() []byte {
+	var b []byte
+	for i := 0; i < 100; i++ {
+		b = fmt.Appendf(b, `{"id":%d,"version":"4.4","sessions":%d,"system":[]}`+"\n", i, maxHandsetSessions)
+	}
+	return b
+}
+
+// TestSessionTotalBounded: a fleet whose handsets each stay within the
+// per-handset bound, but whose sessions outnumber the bytes of the file
+// declaring them, is refused by Read, Inspect and Verify in both formats.
+func TestSessionTotalBounded(t *testing.T) {
+	jsonl, col := t.TempDir(), t.TempDir()
+	for _, f := range []struct {
+		dir, name string
+		data      []byte
+	}{
+		{jsonl, certsFile, nil},
+		{jsonl, handsetsFile, crowdedJSONL()},
+		{col, columnarFile, reseal(handsetFile(100, 100, maxHandsetSessions, "4.4"))},
+	} {
+		if err := os.WriteFile(filepath.Join(f.dir, f.name), f.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for total, ok := range map[int]bool{-1: false, 0: true, 10: true, 11: false} {
+		if err := checkSessionTotal(total, 10); (err == nil) != ok {
+			t.Errorf("%d sessions in 10 bytes: error %v", total, err)
+		}
+	}
+	ctx := context.Background()
+	for _, dir := range []string{jsonl, col} {
+		r := NewReader(dir, WithCorpus(corpus.New()))
+		if p, err := r.Read(ctx); err == nil {
+			t.Errorf("%s: Read accepted %d sessions", r.format(), p.TotalSessions())
+		}
+		if info, err := r.Inspect(ctx); err == nil {
+			t.Errorf("%s: Inspect accepted %d sessions in %d bytes", r.format(), info.Sessions, info.Bytes)
+		}
+		if _, err := r.Verify(ctx); err == nil {
+			t.Errorf("%s: Verify accepted the fleet", r.format())
+		}
+	}
 }
 
 // TestJSONLRejectsUnassemblableHandsets: Read and Verify both refuse a

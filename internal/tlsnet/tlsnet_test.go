@@ -275,31 +275,34 @@ func TestLeafObservationTimes(t *testing.T) {
 	}
 }
 
-// worldDigest hashes what the analyses read of a world, leaf by leaf in
+// worldDigests hashes what the analyses read of a world, leaf by leaf in
 // order: every chain member's to-be-signed bytes, then the observation
-// metadata. Full DER would not do: ECDSA signature bytes differ from one
-// process to the next.
-func worldDigest(w *World) string {
-	h := sha256.New()
+// metadata. The second digest hashes each member's full DER in place of
+// its TBS, so it pins the signatures too.
+func worldDigests(w *World) (tbs, der string) {
+	ht, hd := sha256.New(), sha256.New()
 	for _, l := range w.Leaves() {
 		for _, c := range l.Chain {
-			h.Write(c.RawTBSCertificate)
+			ht.Write(c.RawTBSCertificate)
+			hd.Write(c.Raw)
 		}
-		fmt.Fprintf(h, "|%d|%v|%d|%s\n", l.Port, l.Expired, l.SeenAt.Unix(), l.RootName)
+		meta := fmt.Sprintf("|%d|%v|%d|%s\n", l.Port, l.Expired, l.SeenAt.Unix(), l.RootName)
+		ht.Write([]byte(meta))
+		hd.Write([]byte(meta))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(ht.Sum(nil)), hex.EncodeToString(hd.Sum(nil))
 }
 
-// TestWorldContentPinned pins the world's content per seed, signed on one
-// core and on all of them: parallel issuance must not change a serial, a
-// key, a chain or an observation.
+// TestWorldContentPinned pins the world's content per seed, signed with
+// one P and with at least two: parallel issuance must not change a serial,
+// a key, a chain, a signature or an observation.
 func TestWorldContentPinned(t *testing.T) {
-	want := map[int64]string{
-		1: "72ffe2964dc5aeea85a476ec47bcc298db9b1e763c7250f1c90728304b623965",
-		7: "d6fcce0b73bab5daec70b0bf8ab3b111b2e65326a44d5046a395a8b6ac170ba3",
+	want := map[int64][2]string{
+		1: {"72ffe2964dc5aeea85a476ec47bcc298db9b1e763c7250f1c90728304b623965", "bee4ff4dfeb45a3d665962b0c57e5bb47dbec3792722b6b23a6af2e8bcf17374"},
+		7: {"d6fcce0b73bab5daec70b0bf8ab3b111b2e65326a44d5046a395a8b6ac170ba3", "295e08551a80ceae779fc0e9c36796bedaafcc1585d8a8b0913cf2b73078f317"},
 	}
 	for _, seed := range []int64{1, 7} {
-		for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		for _, procs := range []int{1, max(2, runtime.GOMAXPROCS(0))} {
 			// A fresh universe each time: a world continues its universe
 			// generator's serial counter.
 			u, err := cauniverse.New(seed)
@@ -312,8 +315,9 @@ func TestWorldContentPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := worldDigest(w); got != want[seed] {
-				t.Errorf("seed %d, GOMAXPROCS %d: world digest %s, want %s", seed, procs, got, want[seed])
+			if tbs, der := worldDigests(w); tbs != want[seed][0] || der != want[seed][1] {
+				t.Errorf("seed %d, GOMAXPROCS %d: world digests %s (TBS) and %s (DER), want %s and %s",
+					seed, procs, tbs, der, want[seed][0], want[seed][1])
 			}
 		}
 	}

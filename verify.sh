@@ -52,10 +52,10 @@ else
 fi
 
 # A brief run of each byte-decoder fuzzer, and of the differential fuzzer
-# that holds certgen's private-scalar signature check to
+# that holds certgen's ECDSA signer and its signature check to
 # ecdsa.VerifyASN1: a regression guard rather than a search. A failing
 # input is written under the package's testdata/fuzz/ for replay.
-echo "==> fuzz: request lines, WAL frames, snapshots, columnar and JSONL datasets, the tap parser and certgen's signature check, 10s each"
+echo "==> fuzz: request lines, WAL frames, snapshots, columnar and JSONL datasets, the tap parser and certgen's ECDSA signer and check, 10s each"
 go test -run '^$' -fuzz '^FuzzCollectRequest$' -fuzztime 10s ./internal/collect/
 go test -run '^$' -fuzz '^FuzzNotarynetRequest$' -fuzztime 10s ./internal/notarynet/
 go test -run '^$' -fuzz '^FuzzWALScan$' -fuzztime 10s ./internal/notary/
@@ -69,11 +69,11 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 # Tests that mint certificates share the process-wide corpus, and a seeded
-# generator can re-create byte-identical certificates on a second run in
-# the same process. Running these packages three times in one process
-# fails any test whose outcome depends on state an earlier run left behind.
+# generator re-creates byte-identical certificates on a second run in the
+# same process. Running these packages three times in one process fails
+# any test whose outcome depends on state an earlier run left behind.
 echo "==> count: certificate-minting tests, three runs per process"
-go test -count=3 ./internal/chain/ ./internal/rootstore/ ./internal/trusteval/ ./internal/corpus/ ./internal/certid/ ./internal/certgen/ ./internal/tlsnet/
+go test -count=3 ./internal/chain/ ./internal/rootstore/ ./internal/trusteval/ ./internal/corpus/ ./internal/certid/ ./internal/certgen/ ./internal/tlsnet/ ./internal/cauniverse/ ./internal/mitm/
 
 # The bench-gate compares the Table/Figure benchmarks against the committed
 # serial baseline and fails on a >25% ns/op regression or a >25% allocs/op
