@@ -1,14 +1,11 @@
 package tangledmass
 
 // Benchmarks for the extension subsystems (§8 recommendations, trust
-// levels, the networked Notary, FOTA, pinning, dataset I/O).
+// levels, the networked Notary, dataset I/O, the passive tap).
 
 import (
 	"context"
-	"crypto/sha256"
 	"crypto/tls"
-	"crypto/x509"
-	"encoding/hex"
 	"io"
 	"os"
 	"path/filepath"
@@ -16,11 +13,9 @@ import (
 
 	"tangledmass/internal/certgen"
 	"tangledmass/internal/dataset"
-	"tangledmass/internal/fota"
 	"tangledmass/internal/notary"
 	"tangledmass/internal/notarynet"
 	"tangledmass/internal/notaryshard"
-	"tangledmass/internal/pinning"
 	"tangledmass/internal/recommend"
 	"tangledmass/internal/tap"
 	"tangledmass/internal/tlsnet"
@@ -90,52 +85,6 @@ func BenchmarkNotarynetObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l := leaves[i%len(leaves)]
 		if err := c.Observe(context.Background(), l.Chain, l.Port); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFOTAFetch measures a full firmware-update check: TLS handshake,
-// channel verification, manifest verification.
-func BenchmarkFOTAFetch(b *testing.B) {
-	f := benchFixtures(b)
-	root := f.universe.Root("Motorola FOTA Root CA")
-	svc, err := f.universe.Generator().Leaf(root.Issued, "fota.vendor.example",
-		certgen.WithKeyName("bench-fota-service"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := sha256.Sum256([]byte("firmware"))
-	srv, err := fota.NewServer(&fota.Signer{Cert: svc}, fota.Manifest{
-		Model: "Droid", Version: "4.4", PayloadSHA256: hex.EncodeToString(payload[:]),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	store := f.universe.AOSP("4.4").Clone("moto")
-	store.Add(root.Issued.Cert)
-	up := &fota.Updater{Store: store, FOTARoot: root.Issued.Cert, At: certgen.Epoch}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := up.Fetch(srv.Addr(), "fota.vendor.example"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPinningCheck measures one pin check against a 3-cert chain.
-func BenchmarkPinningCheck(b *testing.B) {
-	g := certgen.NewGenerator(200)
-	root, _ := g.SelfSignedCA("Bench Pin Root")
-	inter, _ := g.Intermediate(root, "Bench Pin Inter")
-	leaf, _ := g.Leaf(inter, "bench.example.com")
-	s := pinning.NewStore()
-	s.Add("bench.example.com", inter.Cert)
-	chain := []*x509.Certificate{leaf.Cert, inter.Cert, root.Cert}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Check("bench.example.com", chain); err != nil {
 			b.Fatal(err)
 		}
 	}

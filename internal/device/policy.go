@@ -11,9 +11,11 @@ import (
 // app-level failure modes the Okara and "Danger is My Middle Name" studies
 // catalogue. The zero value is the platform default: full chain building,
 // hostname verification, and pin enforcement. Each flag disables one layer
-// of the decision; internal/trusteval applies them as recorded overrides so
-// an interception success is attributable to the exact layer that let it
-// through.
+// of the decision. internal/trusteval applies AcceptAll and SkipHostname as
+// recorded overrides, so an interception success is attributable to the
+// exact layer that let it through. It checks no pins: BypassPins is fleet
+// ground truth, which the datasets record and the offline session
+// attribution reads.
 type ValidationPolicy struct {
 	// App names the profile ("ad-sdk-webview", "accept-all-trust-manager").
 	App string

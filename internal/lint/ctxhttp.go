@@ -5,10 +5,10 @@ import (
 )
 
 // CtxHTTP keeps the long-running network services cancellable. The
-// collector, FOTA endpoint, notary service, TLS origin, interception
-// proxy, and the transport core under them all hold goroutines per
-// connection; a dial or request without a timeout or context in those
-// packages is a goroutine leak waiting for one unresponsive peer. Use
+// collector, notary service, TLS origin, interception proxy, passive tap,
+// and the transport core under them all hold goroutines per connection; a
+// dial or request without a timeout or context in those packages is a
+// goroutine leak waiting for one unresponsive peer. Use
 // net.DialTimeout, a net.Dialer with Timeout or DialContext, or an
 // http.Client with Timeout instead.
 var CtxHTTP = &Analyzer{
@@ -20,10 +20,10 @@ var CtxHTTP = &Analyzer{
 // ctxHTTPPackages are the long-running server packages, by base name.
 var ctxHTTPPackages = map[string]bool{
 	"collect":   true,
-	"fota":      true,
 	"notarynet": true,
 	"tlsnet":    true,
 	"mitm":      true,
+	"tap":       true,
 	"wire":      true,
 }
 

@@ -188,6 +188,31 @@ func TestKnownRules(t *testing.T) {
 	}
 }
 
+// TestPackageScopesNameRealPackages asserts every package base name a
+// rule scopes itself by names a package under the module's internal/: an
+// entry whose package is gone silently checks nothing.
+func TestPackageScopesNameRealPackages(t *testing.T) {
+	scopes := map[string]map[string]bool{
+		"ctxHTTPPackages":   ctxHTTPPackages,
+		"detRandPackages":   detRandPackages,
+		"detRandSanctioned": {},
+		"detSinkPackages":   detSinkPackages,
+		"certParseAllowed":  certParseAllowed,
+	}
+	for base := range detRandSanctioned {
+		scopes["detRandSanctioned"][base] = true
+	}
+	for name, bases := range scopes {
+		for base := range bases {
+			// The test runs in internal/lint, so its siblings are the
+			// module's internal packages.
+			if files, _ := filepath.Glob(filepath.Join("..", base, "*.go")); len(files) == 0 {
+				t.Errorf("%s names %q, but internal/%s holds no Go package", name, base, base)
+			}
+		}
+	}
+}
+
 // TestWorkerCountInvariance asserts the determinism invariant the tool
 // polices for everyone else: the finding list is identical at any worker
 // count, including the serial reference execution.

@@ -1,6 +1,7 @@
 package tap
 
 import (
+	"context"
 	"crypto/x509"
 	"fmt"
 	"io"
@@ -26,7 +27,9 @@ type Observer interface {
 // Close expires pending reads on the client legs, which the listener
 // tracks. The upstream leg is not a tracked connection: a relay whose
 // client leg expires half-closes its upstream, and Close completes once
-// the upstream answers that half-close, as a TLS origin does.
+// the upstream answers that half-close, as a TLS origin does. The upstream
+// dial is bounded by wire.DialTCP's connect timeout, so an upstream that
+// drops SYNs holds Close for at most that long.
 type Tap struct {
 	*wire.Listener
 	upstream  string
@@ -53,7 +56,7 @@ func (t *Tap) Extracted() int64 { return t.extracted.Load() }
 // relay forwards bytes both ways; the server→client leg runs through the
 // stream parser.
 func (t *Tap) relay(client net.Conn) {
-	server, err := net.Dial("tcp", t.upstream)
+	server, err := wire.DialTCP(context.Background(), t.upstream)
 	if err != nil {
 		return
 	}

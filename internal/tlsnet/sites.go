@@ -60,19 +60,6 @@ func ProbeTargets() []HostPort {
 	return out
 }
 
-// PinnedHosts are the services whose apps implement certificate pinning
-// (§2, §7: Facebook, Twitter, most Google services).
-var PinnedHosts = map[string]bool{
-	"www.facebook.com":    true,
-	"orcart.facebook.com": true,
-	"www.twitter.com":     true,
-	"www.google.com":      true,
-	"www.google.co.uk":    true,
-	"maps.google.com":     true,
-	"play.google.com":     true,
-	"supl.google.com":     true,
-}
-
 // Site is one named TLS service with its legitimate certificate chain.
 type Site struct {
 	HostPort

@@ -8,28 +8,24 @@ import (
 	"tangledmass/internal/certid"
 	"tangledmass/internal/chain"
 	"tangledmass/internal/corpus"
-	"tangledmass/internal/device"
 	"tangledmass/internal/obs"
 	"tangledmass/internal/rootstore"
 )
 
 // Override labels record which policy flag flipped a failing layer. They
-// appear in Verdict.Overrides in layer order (chain, hostname, pin).
+// appear in Verdict.Overrides in layer order (chain, then hostname).
 const (
 	OverrideAcceptAll  = "chain:accept-all"
 	OverrideNoHostname = "hostname:skip-verify"
-	OverridePinBypass  = "pin:bypass"
 )
 
 // Verdict is the engine's structured answer for one connection.
 type Verdict struct {
-	// Chain, Hostname and Pin are the per-layer outcomes.
+	// Chain and Hostname are the per-layer outcomes.
 	Chain    Outcome
 	Hostname Outcome
-	Pin      Outcome
 	// Accepted reports whether the app, under its policy, proceeds with
-	// the connection: every layer passed, was overridden, or did not
-	// apply.
+	// the connection: both layers passed or were overridden.
 	Accepted bool
 	// Overrides lists the policy overrides that fired, in layer order.
 	Overrides []string
@@ -47,11 +43,10 @@ type Verdict struct {
 	// engine's reference stores; meaningful only when a reference was
 	// configured and the chain layer passed.
 	AnchoredInReference bool
-	// ChainErr, HostErr and PinErr carry the failing layer's diagnostic
-	// (also when the failure was overridden).
+	// ChainErr and HostErr carry the failing layer's diagnostic (also
+	// when the failure was overridden).
 	ChainErr error
 	HostErr  error
-	PinErr   error
 }
 
 // Engine evaluates connections. Construct with New; the zero value is not
@@ -60,7 +55,6 @@ type Verdict struct {
 type Engine struct {
 	at        time.Time
 	reference *rootstore.Store
-	pins      PinChecker
 
 	evals     *obs.Counter
 	accepted  *obs.Counter
@@ -77,13 +71,6 @@ type Option func(*Engine)
 // by a post-firmware install.
 func WithReference(ref *rootstore.Store) Option {
 	return func(e *Engine) { e.reference = ref }
-}
-
-// WithPins attaches a pin store (typically *pinning.Store) enabling the pin
-// layer. Without one the pin outcome is always OutcomeSkipped. No
-// production path sets it: the pin layer runs only in tests.
-func WithPins(p PinChecker) Option {
-	return func(e *Engine) { e.pins = p }
 }
 
 // WithObserver attaches trusteval.* counters to o (nil is a no-op).
@@ -132,8 +119,8 @@ func internChain(s *rootstore.Store, presented []*x509.Certificate) (corpus.Ref,
 
 // Evaluate runs the full trust decision for one connection and returns its
 // Verdict. The layers run in client order — chain building against the
-// effective store, hostname verification (including path name
-// constraints), then pins — with the app policy applied as recorded
+// effective store, then hostname verification (including path name
+// constraints) — with the app policy applied as recorded
 // overrides, never by skipping the underlying check: a forged chain that
 // an accept-all app "validates" still reports its chain layer as
 // overridden, not passed.
@@ -194,13 +181,7 @@ func (e *Engine) Evaluate(req Request) Verdict {
 		v.Hostname = OutcomeFail
 	}
 
-	v.Pin, v.PinErr = EvaluatePin(e.pins, req.Host, req.Chain, req.Policy)
-	if v.Pin == OutcomeOverridden {
-		v.Overrides = append(v.Overrides, OverridePinBypass)
-		sig.BypassedPin = true
-	}
-
-	v.Accepted = v.Chain.Accepted() && v.Hostname.Accepted() && v.Pin.Accepted()
+	v.Accepted = v.Chain.Accepted() && v.Hostname.Accepted()
 	if n := len(v.Overrides); n > 0 {
 		e.overrides.Add(int64(n))
 	}
@@ -212,31 +193,6 @@ func (e *Engine) Evaluate(req Request) Verdict {
 		e.rejected.Inc()
 	}
 	return v
-}
-
-// EvaluatePin runs the pin layer in isolation: OutcomeSkipped when pins is
-// nil or the host carries no pin set, otherwise pass/fail on the canonical
-// host with the policy's BypassPins override applied. The returned error
-// is the pin diagnostic, non-nil on mismatch even when overridden.
-// Engine.Evaluate uses exactly this function for its pin dimension;
-// pinning.EvaluateReport reuses it, so the app-side pin check and the full
-// engine cannot diverge.
-func EvaluatePin(pins PinChecker, host string, presented []*x509.Certificate, pol device.ValidationPolicy) (Outcome, error) {
-	if pins == nil {
-		return OutcomeSkipped, nil
-	}
-	h := chain.CanonicalHost(host)
-	if !pins.Pinned(h) {
-		return OutcomeSkipped, nil
-	}
-	err := pins.Check(h, presented)
-	switch {
-	case err == nil:
-		return OutcomePass, nil
-	case pol.BypassPins:
-		return OutcomeOverridden, err
-	}
-	return OutcomeFail, err
 }
 
 // ErrNoPresentedChain marks an evaluation that received no handshake

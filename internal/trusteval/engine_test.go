@@ -10,7 +10,6 @@ import (
 	"tangledmass/internal/corpus"
 	"tangledmass/internal/device"
 	"tangledmass/internal/obs"
-	"tangledmass/internal/pinning"
 	"tangledmass/internal/rootstore"
 	"tangledmass/internal/trusteval"
 
@@ -77,8 +76,8 @@ func TestCleanConnection(t *testing.T) {
 		Chain: goodChain(p), Host: "good.example.com", Port: 443,
 		Store: p.officials, Policy: device.ValidationPolicy{},
 	})
-	if v.Chain != trusteval.OutcomePass || v.Hostname != trusteval.OutcomePass || v.Pin != trusteval.OutcomeSkipped {
-		t.Fatalf("layers = %v/%v/%v, want pass/pass/skipped", v.Chain, v.Hostname, v.Pin)
+	if v.Chain != trusteval.OutcomePass || v.Hostname != trusteval.OutcomePass {
+		t.Fatalf("layers = %v/%v, want pass/pass", v.Chain, v.Hostname)
 	}
 	if !v.Accepted || v.Cause != trusteval.CauseClean {
 		t.Fatalf("accepted=%v cause=%q, want accepted clean", v.Accepted, v.Cause)
@@ -176,52 +175,6 @@ func TestSkipHostnamePolicy(t *testing.T) {
 	}
 	if v.HostErr == nil {
 		t.Error("override must preserve the hostname diagnostic")
-	}
-}
-
-func TestPinLayer(t *testing.T) {
-	p := buildPKI(t)
-	pins := pinning.NewStore()
-	pins.Add("good.example.com", p.inter.Cert) // pin the issuing CA, §2 style
-
-	e := trusteval.New(certgen.Epoch, trusteval.WithPins(pins), trusteval.WithReference(p.officials))
-	ok := e.Evaluate(trusteval.Request{
-		Chain: goodChain(p), Host: "good.example.com", Port: 443,
-		Store: p.officials, Policy: device.ValidationPolicy{},
-	})
-	if ok.Pin != trusteval.OutcomePass || !ok.Accepted {
-		t.Fatalf("pin-satisfying chain: pin=%v accepted=%v", ok.Pin, ok.Accepted)
-	}
-
-	// A forged chain on a tampered store clears the chain layer but trips
-	// the pin — the pinned app catches the interception.
-	req := trusteval.Request{
-		Chain: forgedChain(p), Host: "good.example.com", Port: 443,
-		Store: p.tampered, Policy: device.ValidationPolicy{},
-	}
-	caught := e.Evaluate(req)
-	if caught.Accepted || caught.Pin != trusteval.OutcomeFail {
-		t.Fatalf("pinned app accepted a forged chain: pin=%v", caught.Pin)
-	}
-	var mismatch *pinning.ErrPinMismatch
-	if !errors.As(caught.PinErr, &mismatch) {
-		t.Errorf("PinErr = %v, want ErrPinMismatch", caught.PinErr)
-	}
-
-	// The pin-bypassed debug build tunnels straight through the proxy.
-	req.Policy = device.ValidationPolicy{App: "debug-build", BypassPins: true}
-	tunneled := e.Evaluate(req)
-	if !tunneled.Accepted || tunneled.Pin != trusteval.OutcomeOverridden {
-		t.Fatalf("pin bypass: accepted=%v pin=%v", tunneled.Accepted, tunneled.Pin)
-	}
-	// Store tampering outranks the pin bypass in attribution.
-	if tunneled.Cause != trusteval.CauseStoreTampering {
-		t.Errorf("cause = %q, want store-tampering precedence", tunneled.Cause)
-	}
-
-	// Unpinned hosts and pin-free engines skip the layer entirely.
-	if v := e.Evaluate(trusteval.Request{Chain: goodChain(p), Host: "unpinned.example.com", Store: p.officials, Policy: device.ValidationPolicy{SkipHostname: true}}); v.Pin != trusteval.OutcomeSkipped {
-		t.Errorf("unpinned host: pin=%v, want skipped", v.Pin)
 	}
 }
 
@@ -335,23 +288,35 @@ func TestOutcomeStrings(t *testing.T) {
 	}
 }
 
+// TestObserverCounters also pins that a pin-bypassed build is judged like
+// the strict app: the engine checks no pins, so its forged chain is
+// rejected on the chain layer and the pin-bypass counter never moves.
 func TestObserverCounters(t *testing.T) {
 	p := buildPKI(t)
 	o := obs.New()
 	e := trusteval.New(certgen.Epoch, trusteval.WithObserver(o))
 	e.Evaluate(trusteval.Request{Chain: goodChain(p), Host: "good.example.com", Store: p.officials})
-	e.Evaluate(trusteval.Request{Chain: forgedChain(p), Host: "good.example.com", Store: p.officials})
+	strict := e.Evaluate(trusteval.Request{Chain: forgedChain(p), Host: "good.example.com", Store: p.officials})
 	e.Evaluate(trusteval.Request{Chain: forgedChain(p), Host: "good.example.com", Store: p.officials,
 		Policy: device.ValidationPolicy{AcceptAll: true}})
+	bypass := e.Evaluate(trusteval.Request{Chain: forgedChain(p), Host: "good.example.com", Store: p.officials,
+		Policy: device.ValidationPolicy{BypassPins: true}})
 
-	if got := o.Counter(trusteval.KeyEvals).Value(); got != 3 {
-		t.Errorf("evals = %d, want 3", got)
+	if bypass.Accepted || bypass.Chain != strict.Chain || bypass.Hostname != strict.Hostname || bypass.Cause != strict.Cause {
+		t.Errorf("pin-bypassed app: accepted=%v layers=%v/%v cause=%q, want the strict app's rejection %v/%v",
+			bypass.Accepted, bypass.Chain, bypass.Hostname, bypass.Cause, strict.Chain, strict.Hostname)
+	}
+	if got := o.Counter(trusteval.KeyEvals).Value(); got != 4 {
+		t.Errorf("evals = %d, want 4", got)
 	}
 	if got := o.Counter(trusteval.KeyEvalAccepted).Value(); got != 2 {
 		t.Errorf("accepted = %d, want 2", got)
 	}
-	if got := o.Counter(trusteval.KeyEvalRejected).Value(); got != 1 {
-		t.Errorf("rejected = %d, want 1", got)
+	if got := o.Counter(trusteval.KeyEvalRejected).Value(); got != 2 {
+		t.Errorf("rejected = %d, want 2", got)
+	}
+	if got := o.Counter(trusteval.KeyCausePinBypass).Value(); got != 0 {
+		t.Errorf("pin-bypass = %d, want 0: no live verdict can observe it", got)
 	}
 	if got := o.Counter(trusteval.KeyCauseClean).Value(); got != 1 {
 		t.Errorf("clean = %d, want 1", got)

@@ -25,7 +25,8 @@ const (
 	// disabled hostname verifier.
 	KeyCauseNoHostname = "trusteval.cause.app_no_hostname"
 	// KeyCausePinBypass counts accepted evaluations attributed to a pin
-	// bypass.
+	// bypass. The engine checks no pins, so it stays 0; it keeps the
+	// snapshot's one counter per cause.
 	KeyCausePinBypass = "trusteval.cause.pin_bypass"
 	// KeyCauseClean counts accepted evaluations where every applicable
 	// check passed.

@@ -9,11 +9,16 @@
 //
 // The engine takes one connection's evidence — presented chain, requested
 // host and port, the device's effective store, and the validating app's
-// policy — and returns a structured Verdict: the outcome of each layer
-// (chain, hostname, pin), which policy overrides fired, and a single
+// policy — and returns a structured Verdict: the outcome of its two layers
+// (chain, hostname), which policy overrides fired, and a single
 // attribution cause. Causes partition outcomes exactly: each accepted
 // connection has one cause, so per-cause counts sum to the total — the
 // invariant the analysis attribution aggregate is built on.
+//
+// The engine checks no pins, so a live verdict is never attributed to
+// CausePinBypass. That cause comes from the fleet's ground truth
+// (device.ValidationPolicy.BypassPins), which the offline session
+// attribution in package analysis passes to Attribute.
 package trusteval
 
 import (
@@ -27,8 +32,7 @@ import (
 type Outcome int
 
 const (
-	// OutcomeSkipped means the layer did not run: no chain was captured,
-	// or the host carries no pin.
+	// OutcomeSkipped means the layer did not run: no chain was captured.
 	OutcomeSkipped Outcome = iota
 	// OutcomePass means the layer's check succeeded on its own.
 	OutcomePass
@@ -71,8 +75,8 @@ const (
 	// CauseAppNoHostname: the leaf does not cover the requested host; a
 	// disabled hostname verifier accepted it anyway.
 	CauseAppNoHostname Cause = "app-no-hostname"
-	// CausePinBypass: the chain violates the host's pin; a pin-bypassed
-	// build ignored the mismatch.
+	// CausePinBypass: the app is a pin-bypassed build. Only offline
+	// session attribution assigns it; the engine checks no pins.
 	CausePinBypass Cause = "pin-bypass"
 	// CauseClean: every applicable check genuinely passed.
 	CauseClean Cause = "clean"
@@ -96,7 +100,9 @@ type Signals struct {
 	AcceptAll bool
 	// SkipHostname: a disabled hostname verifier overrode a mismatch.
 	SkipHostname bool
-	// BypassedPin: a pin mismatch was ignored.
+	// BypassedPin: the app ignores pin mismatches. Set from the fleet's
+	// ground truth (device.ValidationPolicy.BypassPins); Evaluate never
+	// sets it.
 	BypassedPin bool
 }
 
@@ -120,24 +126,13 @@ func Attribute(s Signals) Cause {
 	return CauseClean
 }
 
-// PinChecker is the pin-store surface the engine needs. *pinning.Store
-// satisfies it; the indirection keeps trusteval import-free of the pinning
-// package (which sits above netalyzr, itself a client of this engine).
-type PinChecker interface {
-	// Pinned reports whether the host carries a pin set.
-	Pinned(host string) bool
-	// Check returns nil when the presented chain satisfies the host's
-	// pins (or the host is unpinned), a descriptive error otherwise.
-	Check(host string, presented []*x509.Certificate) error
-}
-
 // Request is one connection's evidence, handed to Engine.Evaluate.
 type Request struct {
 	// Chain is the presented certificate chain, leaf first. Empty means
 	// the handshake never produced one (connection error).
 	Chain []*x509.Certificate
 	// Host and Port identify the requested endpoint; Host drives the
-	// hostname and pin layers.
+	// hostname layer.
 	Host string
 	Port int
 	// Store is the device's effective trust set (system + user − disabled).

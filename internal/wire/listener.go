@@ -2,8 +2,7 @@
 // listener that owns its connections, newline-delimited JSON serving, the
 // server-side idempotency window, and the resilient client that talks to
 // such a server. collect and notarynet add only their payload types and
-// dispatch tables on top; tlsnet, fota, supl and tap add only a
-// per-connection handler.
+// dispatch tables on top; tlsnet and tap add only a per-connection handler.
 package wire
 
 import (
