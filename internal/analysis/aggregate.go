@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"crypto/x509"
 	"sort"
 
@@ -8,34 +9,31 @@ import (
 	"tangledmass/internal/certid"
 	"tangledmass/internal/corpus"
 	"tangledmass/internal/notary"
+	"tangledmass/internal/parallel"
 	"tangledmass/internal/population"
 	"tangledmass/internal/rootstore"
-	"tangledmass/internal/stats"
 )
 
-// Batch is one contiguous slice of the fleet: a run of handsets together
+// batch is one contiguous slice of the fleet: a run of handsets together
 // with exactly the sessions those handsets emitted. Sessions are emitted
 // contiguously per handset in handset order, so any handset range [i, j)
-// pairs with the session range [offsets[i], offsets[j]) — Batches and the
-// Engine's reduce slice the fleet that way.
-type Batch struct {
-	Handsets []*population.Handset
-	Sessions []*population.Session
+// pairs with the session range [offsets[i], offsets[j]).
+type batch struct {
+	handsets []*population.Handset
+	sessions []*population.Session
 }
 
-// Aggregate is an incrementally mergeable analysis: feed batches with Add
-// (O(batch) work each), combine partial aggregates with Merge, and read the
-// final artifact with Result. Merge must be called in batch order — the
-// receiver holding earlier batches, the argument later ones — which keeps
-// the few order-sensitive analyses (Table 5's first-sighting CN, Figure 2's
-// last-sighting certificate instance) byte-identical to a one-shot fold at
-// any batch size or worker count. Merge panics if other is not the same
-// concrete aggregate type. Aggregates are not safe for concurrent use; the
-// Engine gives each shard its own and merges in ascending shard order.
-type Aggregate[B, R any] interface {
-	Add(batch B)
-	Merge(other Aggregate[B, R])
-	Result() R
+// aggregate is a fleet analysis reduce can fold in parallel: add folds one
+// batch (O(batch) work), merge absorbs an aggregate of the batches that
+// follow the receiver's, and result reads the artifact. Merging in batch
+// order keeps the order-sensitive analyses (Table 5's first-sighting CN,
+// Figure 2's last-sighting certificate instance) byte-identical to a
+// one-shot fold at any batch size or worker count. An aggregate is not
+// safe for concurrent use; reduce gives each shard its own.
+type aggregate[A, R any] interface {
+	add(b batch)
+	merge(later A)
+	result() R
 }
 
 // sessionOffsets returns len(p.Handsets)+1 prefix sums of per-handset
@@ -48,53 +46,39 @@ func sessionOffsets(p *population.Population) []int {
 	return offs
 }
 
-// Batches slices p into contiguous batches of up to size handsets each,
-// with their sessions — the streaming unit incremental consumers feed to
-// Aggregate.Add as new data arrives.
-func Batches(p *population.Population, size int) []Batch {
-	if size <= 0 {
-		size = len(p.Handsets)
-	}
-	offs := sessionOffsets(p)
-	var out []Batch
-	for start := 0; start < len(p.Handsets); start += size {
-		end := start + size
-		if end > len(p.Handsets) {
-			end = len(p.Handsets)
-		}
-		out = append(out, Batch{
-			Handsets: p.Handsets[start:end],
-			Sessions: p.Sessions[offs[start]:offs[end]],
-		})
-	}
-	return out
+// accumulate folds [0, n) on the parallel engine's GOMAXPROCS-sized pool.
+// Aggregations cannot fail and run under a background context, so the
+// error is dropped by design.
+func accumulate[A any](n int, newA func() A, fold func(acc A, start, end int) A, merge func(into, from A) A) A {
+	acc, _ := parallel.Accumulate(context.Background(), n, newA, fold, merge)
+	return acc
 }
 
-// reduce folds the whole fleet through fresh aggregates on the engine's
-// pool: each worker Adds contiguous handset batches in index order, and the
-// shard aggregates Merge in ascending shard order — so the result is
-// byte-identical to newAgg().Add(everything).Result() at any worker count.
-func reduce[R any](e *Engine, p *population.Population, newAgg func() Aggregate[Batch, R]) R {
+// reduce folds the whole fleet through fresh aggregates: each worker adds
+// its contiguous shard of handsets as one batch, and the shard aggregates
+// merge in ascending shard order — so the result is byte-identical to
+// newAgg().add(everything) at any worker count.
+func reduce[A aggregate[A, R], R any](p *population.Population, newAgg func() A) R {
 	offs := sessionOffsets(p)
-	agg := accumulate(e, len(p.Handsets),
+	agg := accumulate(len(p.Handsets),
 		newAgg,
-		func(a Aggregate[Batch, R], start, end int) Aggregate[Batch, R] {
-			a.Add(Batch{
-				Handsets: p.Handsets[start:end],
-				Sessions: p.Sessions[offs[start]:offs[end]],
+		func(a A, start, end int) A {
+			a.add(batch{
+				handsets: p.Handsets[start:end],
+				sessions: p.Sessions[offs[start]:offs[end]],
 			})
 			return a
 		},
-		func(into, from Aggregate[Batch, R]) Aggregate[Batch, R] {
-			into.Merge(from)
+		func(into, from A) A {
+			into.merge(from)
 			return into
 		})
-	return agg.Result()
+	return agg.result()
 }
 
-// Table2Counts is the full (untruncated) Table 2 aggregation: every device
+// table2Counts is the full (untruncated) Table 2 aggregation: every device
 // and manufacturer with its session count, busiest first.
-type Table2Counts struct {
+type table2Counts struct {
 	Devices       []CountRow
 	Manufacturers []CountRow
 }
@@ -103,20 +87,19 @@ type table2Agg struct {
 	dev, man map[string]int
 }
 
-// NewTable2Aggregate counts sessions per device and per manufacturer.
-func NewTable2Aggregate() Aggregate[Batch, Table2Counts] {
+// newTable2Agg counts sessions per device and per manufacturer.
+func newTable2Agg() *table2Agg {
 	return &table2Agg{dev: map[string]int{}, man: map[string]int{}}
 }
 
-func (a *table2Agg) Add(b Batch) {
-	for _, s := range b.Sessions {
+func (a *table2Agg) add(b batch) {
+	for _, s := range b.sessions {
 		a.dev[s.Handset.Manufacturer+" "+s.Handset.Model]++
 		a.man[s.Handset.Manufacturer]++
 	}
 }
 
-func (a *table2Agg) Merge(other Aggregate[Batch, Table2Counts]) {
-	o := other.(*table2Agg)
+func (a *table2Agg) merge(o *table2Agg) {
 	for k, n := range o.dev {
 		a.dev[k] += n
 	}
@@ -125,8 +108,8 @@ func (a *table2Agg) Merge(other Aggregate[Batch, Table2Counts]) {
 	}
 }
 
-func (a *table2Agg) Result() Table2Counts {
-	return Table2Counts{Devices: topK(a.dev, len(a.dev)), Manufacturers: topK(a.man, len(a.man))}
+func (a *table2Agg) result() table2Counts {
+	return table2Counts{Devices: topK(a.dev, len(a.dev)), Manufacturers: topK(a.man, len(a.man))}
 }
 
 type fig1Key struct {
@@ -138,26 +121,25 @@ type figure1Agg struct {
 	counts map[fig1Key]int
 }
 
-// NewFigure1Aggregate counts sessions per Figure 1 scatter coordinate.
-func NewFigure1Aggregate() Aggregate[Batch, []ScatterPoint] {
+// newFigure1Agg counts sessions per Figure 1 scatter coordinate.
+func newFigure1Agg() *figure1Agg {
 	return &figure1Agg{counts: map[fig1Key]int{}}
 }
 
-func (a *figure1Agg) Add(b Batch) {
-	for _, s := range b.Sessions {
+func (a *figure1Agg) add(b batch) {
+	for _, s := range b.sessions {
 		h := s.Handset
 		a.counts[fig1Key{h.Manufacturer, h.Version, h.AOSPCount, h.ExtraCount}]++
 	}
 }
 
-func (a *figure1Agg) Merge(other Aggregate[Batch, []ScatterPoint]) {
-	o := other.(*figure1Agg)
+func (a *figure1Agg) merge(o *figure1Agg) {
 	for k, n := range o.counts {
 		a.counts[k] += n
 	}
 }
 
-func (a *figure1Agg) Result() []ScatterPoint {
+func (a *figure1Agg) result() []ScatterPoint {
 	out := make([]ScatterPoint, 0, len(a.counts))
 	for k, n := range a.counts {
 		out = append(out, ScatterPoint{k.man, k.ver, k.aosp, k.xtra, n})
@@ -186,20 +168,20 @@ type headlinesAgg struct {
 	intercepted, missing                         int
 }
 
-// NewHeadlinesAggregate derives the §5/§6 headline numbers incrementally.
-func NewHeadlinesAggregate() Aggregate[Batch, Headlines] {
+// newHeadlinesAgg derives the §5/§6 headline numbers incrementally.
+func newHeadlinesAgg() *headlinesAgg {
 	return &headlinesAgg{models: map[string]bool{}}
 }
 
-func (a *headlinesAgg) Add(b Batch) {
-	for _, h := range b.Handsets {
+func (a *headlinesAgg) add(b batch) {
+	for _, h := range b.handsets {
 		a.handsets++
 		if h.MissingCount > 0 {
 			a.missing++
 		}
 		a.roots.AddStore(h.Store)
 	}
-	for _, s := range b.Sessions {
+	for _, s := range b.sessions {
 		a.sessions++
 		hs := s.Handset
 		a.models[hs.Manufacturer+"/"+hs.Model] = true
@@ -224,8 +206,7 @@ func (a *headlinesAgg) Add(b Batch) {
 	}
 }
 
-func (a *headlinesAgg) Merge(other Aggregate[Batch, Headlines]) {
-	o := other.(*headlinesAgg)
+func (a *headlinesAgg) merge(o *headlinesAgg) {
 	a.sessions += o.sessions
 	a.handsets += o.handsets
 	for m := range o.models {
@@ -241,7 +222,7 @@ func (a *headlinesAgg) Merge(other Aggregate[Batch, Headlines]) {
 	a.missing += o.missing
 }
 
-func (a *headlinesAgg) Result() Headlines {
+func (a *headlinesAgg) result() Headlines {
 	h := Headlines{
 		TotalSessions:       a.sessions,
 		Handsets:            a.handsets,
@@ -267,25 +248,24 @@ type monthsAgg struct {
 	counts map[string]int
 }
 
-// NewMonthsAggregate histograms sessions over the collection window.
-func NewMonthsAggregate() Aggregate[Batch, []MonthCount] {
+// newMonthsAgg histograms sessions over the collection window.
+func newMonthsAgg() *monthsAgg {
 	return &monthsAgg{counts: map[string]int{}}
 }
 
-func (a *monthsAgg) Add(b Batch) {
-	for _, s := range b.Sessions {
+func (a *monthsAgg) add(b batch) {
+	for _, s := range b.sessions {
 		a.counts[s.At.Format("2006-01")]++
 	}
 }
 
-func (a *monthsAgg) Merge(other Aggregate[Batch, []MonthCount]) {
-	o := other.(*monthsAgg)
+func (a *monthsAgg) merge(o *monthsAgg) {
 	for m, n := range o.counts {
 		a.counts[m] += n
 	}
 }
 
-func (a *monthsAgg) Result() []MonthCount {
+func (a *monthsAgg) result() []MonthCount {
 	months := make([]string, 0, len(a.counts))
 	for m := range a.counts {
 		months = append(months, m)
@@ -300,7 +280,7 @@ func (a *monthsAgg) Result() []MonthCount {
 
 // rootKey names one root identity by its handle in the corpus holding it.
 // Per-root tallies are keyed by it, so counting hashes integers. A fleet's
-// stores share one corpus; Results fold keys of different corpora that
+// stores share one corpus; results fold keys of different corpora that
 // name one identity.
 type rootKey struct {
 	c *corpus.Corpus
@@ -322,9 +302,9 @@ type table5Agg struct {
 	counts map[rootKey]*rootTally
 }
 
-// NewTable5Aggregate detects certificates appearing exclusively on rooted
+// newTable5Agg detects certificates appearing exclusively on rooted
 // handsets (the §6 methodology), incrementally over handset batches.
-func NewTable5Aggregate(u *cauniverse.Universe) Aggregate[Batch, []RootedExclusive] {
+func newTable5Agg(u *cauniverse.Universe) *table5Agg {
 	return &table5Agg{
 		u:      u,
 		aosp44: u.AOSP("4.4"),
@@ -332,12 +312,12 @@ func NewTable5Aggregate(u *cauniverse.Universe) Aggregate[Batch, []RootedExclusi
 	}
 }
 
-func (a *table5Agg) Add(b Batch) {
+func (a *table5Agg) add(b batch) {
 	// The CN recorded for an identity is the one carried by the first
 	// handset (in fleet order) that introduced it — order-sensitive, and
-	// deterministic because batches Add in fleet order and Merge keeps the
+	// deterministic because batches add in fleet order and merge keeps the
 	// earlier aggregate's sighting.
-	for _, h := range b.Handsets {
+	for _, h := range b.handsets {
 		sc := h.Store.Corpus()
 		for _, ref := range h.Store.Refs() {
 			if a.aosp44.ContainsRef(sc, ref) {
@@ -358,8 +338,7 @@ func (a *table5Agg) Add(b Batch) {
 	}
 }
 
-func (a *table5Agg) Merge(other Aggregate[Batch, []RootedExclusive]) {
-	o := other.(*table5Agg)
+func (a *table5Agg) merge(o *table5Agg) {
 	for k, t := range o.counts {
 		if have := a.counts[k]; have != nil {
 			have.rooted += t.rooted
@@ -372,7 +351,7 @@ func (a *table5Agg) Merge(other Aggregate[Batch, []RootedExclusive]) {
 	}
 }
 
-func (a *table5Agg) Result() []RootedExclusive {
+func (a *table5Agg) result() []RootedExclusive {
 	nameByID := map[certid.Identity]string{}
 	for _, r := range a.u.Roots() {
 		nameByID[corpus.IdentityOf(r.Issued.Cert)] = r.Name
@@ -437,10 +416,10 @@ type figure2Agg struct {
 	additions map[*population.Handset][]fig2Addition
 }
 
-// NewFigure2Aggregate builds the Figure 2 attribution matrix incrementally
+// newFigure2Agg builds the Figure 2 attribution matrix incrementally
 // over session batches. Groups with fewer than minSessions modified-store
-// sessions are omitted at Result time.
-func NewFigure2Aggregate(u *cauniverse.Universe, n *notary.Notary, minSessions int) Aggregate[Batch, []AttributionCell] {
+// sessions are omitted at result time.
+func newFigure2Agg(u *cauniverse.Universe, n *notary.Notary, minSessions int) *figure2Agg {
 	return &figure2Agg{
 		u:           u,
 		n:           n,
@@ -474,8 +453,8 @@ func (a *figure2Agg) additionsOf(h *population.Handset) []fig2Addition {
 	return adds
 }
 
-func (a *figure2Agg) Add(b Batch) {
-	for _, s := range b.Sessions {
+func (a *figure2Agg) add(b batch) {
+	for _, s := range b.sessions {
 		h := s.Handset
 		// Rooted handsets are analyzed separately (§4.1: "We analyzed
 		// rooted handsets separately from operator and manufacturer
@@ -503,8 +482,7 @@ func (a *figure2Agg) Add(b Batch) {
 	}
 }
 
-func (a *figure2Agg) Merge(other Aggregate[Batch, []AttributionCell]) {
-	o := other.(*figure2Agg)
+func (a *figure2Agg) merge(o *figure2Agg) {
 	for g, n := range o.groupTotal {
 		a.groupTotal[g] += n
 	}
@@ -525,7 +503,7 @@ func (a *figure2Agg) Merge(other Aggregate[Batch, []AttributionCell]) {
 	}
 }
 
-func (a *figure2Agg) Result() []AttributionCell {
+func (a *figure2Agg) result() []AttributionCell {
 	nameByID := map[certid.Identity]string{}
 	for _, r := range a.u.Roots() {
 		nameByID[corpus.IdentityOf(r.Issued.Cert)] = r.Name
@@ -577,41 +555,4 @@ func (a *figure2Agg) Result() []AttributionCell {
 		return a.CertName < b.CertName
 	})
 	return cells
-}
-
-type validationAgg struct {
-	cats []Category
-	proj *notary.Projection
-}
-
-// NewValidationAggregate runs the Notary validation projection (Tables 3–4,
-// Figure 3) incrementally over batches of leaf attributions — the output of
-// Notary.AttributeLeaves over slices of Notary.UnexpiredLeafRefs. Leaf
-// attribution is commutative, so Merge order cannot change the result.
-func NewValidationAggregate(cats []Category) Aggregate[[]notary.LeafAttribution, []CategoryValidation] {
-	stores := make([]*rootstore.Store, len(cats))
-	for i, c := range cats {
-		stores[i] = c.Store
-	}
-	return &validationAgg{cats: cats, proj: notary.NewProjection(stores)}
-}
-
-func (a *validationAgg) Add(attrs []notary.LeafAttribution) { a.proj.Add(attrs) }
-
-func (a *validationAgg) Merge(other Aggregate[[]notary.LeafAttribution, []CategoryValidation]) {
-	a.proj.Merge(other.(*validationAgg).proj)
-}
-
-func (a *validationAgg) Result() []CategoryValidation {
-	out := make([]CategoryValidation, len(a.cats))
-	for i, rep := range a.proj.Reports() {
-		out[i] = CategoryValidation{
-			Name:         a.cats[i].Name,
-			TotalRoots:   rep.Store.Len(),
-			ZeroFraction: rep.ZeroValidationFraction(),
-			Validated:    rep.Validated,
-			ECDF:         stats.NewECDF(rep.PerRootCounts()),
-		}
-	}
-	return out
 }

@@ -41,12 +41,7 @@ type CountRow struct {
 
 // Table2 returns the top-k devices and manufacturers by session count.
 func Table2(p *population.Population, k int) (devices, manufacturers []CountRow) {
-	return defaultEngine.Table2(p, k)
-}
-
-// Table2 returns the top-k devices and manufacturers by session count.
-func (e *Engine) Table2(p *population.Population, k int) (devices, manufacturers []CountRow) {
-	c := reduce(e, p, NewTable2Aggregate)
+	c := reduce(p, newTable2Agg)
 	return truncRows(c.Devices, k), truncRows(c.Manufacturers, k)
 }
 
@@ -88,30 +83,7 @@ type ScatterPoint struct {
 // sessions sit at each (AOSP certs, additional certs) coordinate per
 // manufacturer and OS version.
 func Figure1(p *population.Population) []ScatterPoint {
-	return defaultEngine.Figure1(p)
-}
-
-// Figure1 aggregates the fleet into the extended-store scatter.
-func (e *Engine) Figure1(p *population.Population) []ScatterPoint {
-	return reduce(e, p, NewFigure1Aggregate)
-}
-
-// MarkerSize buckets a session count into Figure 1's log2 marker-size
-// legend (1, 64, 256, 512, 1024): the returned value is the legend entry the
-// count falls under.
-func MarkerSize(sessions int) int {
-	switch {
-	case sessions >= 1024:
-		return 1024
-	case sessions >= 512:
-		return 512
-	case sessions >= 256:
-		return 256
-	case sessions >= 64:
-		return 64
-	default:
-		return 1
-	}
+	return reduce(p, newFigure1Agg)
 }
 
 // Headlines are the §5/§6 prose numbers.
@@ -130,12 +102,7 @@ type Headlines struct {
 
 // ComputeHeadlines derives the §5/§6 headline numbers from the fleet.
 func ComputeHeadlines(p *population.Population) Headlines {
-	return defaultEngine.ComputeHeadlines(p)
-}
-
-// ComputeHeadlines derives the §5/§6 headline numbers from the fleet.
-func (e *Engine) ComputeHeadlines(p *population.Population) Headlines {
-	return reduce(e, p, NewHeadlinesAggregate)
+	return reduce(p, newHeadlinesAgg)
 }
 
 // MonthCount is one month of the collection window with its session count.
@@ -147,13 +114,7 @@ type MonthCount struct {
 // SessionsPerMonth histograms the fleet's sessions over the §4.1 collection
 // window (November 2013 – April 2014).
 func SessionsPerMonth(p *population.Population) []MonthCount {
-	return defaultEngine.SessionsPerMonth(p)
-}
-
-// SessionsPerMonth histograms the fleet's sessions over the collection
-// window.
-func (e *Engine) SessionsPerMonth(p *population.Population) []MonthCount {
-	return reduce(e, p, NewMonthsAggregate)
+	return reduce(p, newMonthsAgg)
 }
 
 // RootedExclusive is one Table 5 row: a root found exclusively on rooted
@@ -169,14 +130,7 @@ type RootedExclusive struct {
 // them); anything else present on ≥1 rooted and 0 non-rooted handsets is
 // reported, sorted by device count.
 func Table5(p *population.Population) []RootedExclusive {
-	return defaultEngine.Table5(p)
-}
-
-// Table5 detects certificates that appear exclusively on rooted handsets.
-func (e *Engine) Table5(p *population.Population) []RootedExclusive {
-	return reduce(e, p, func() Aggregate[Batch, []RootedExclusive] {
-		return NewTable5Aggregate(p.Universe)
-	})
+	return reduce(p, func() *table5Agg { return newTable5Agg(p.Universe) })
 }
 
 // MissingReport lists the handsets missing AOSP roots (§5's "only 5
@@ -190,12 +144,7 @@ type MissingReport struct {
 
 // MissingHandsets reports every handset whose store lacks AOSP roots.
 func MissingHandsets(p *population.Population) []MissingReport {
-	return defaultEngine.MissingHandsets(p)
-}
-
-// MissingHandsets reports every handset whose store lacks AOSP roots.
-func (e *Engine) MissingHandsets(p *population.Population) []MissingReport {
-	out := accumulate(e, len(p.Handsets),
+	out := accumulate(len(p.Handsets),
 		func() []MissingReport { return nil },
 		func(out []MissingReport, start, end int) []MissingReport {
 			for i := start; i < end; i++ {

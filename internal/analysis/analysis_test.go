@@ -228,8 +228,8 @@ func TestPresenceClass(t *testing.T) {
 	}
 	for name, want := range cases {
 		cert := u.Root(name).Issued.Cert
-		if got := PresenceClass(cert, p, n); got != want {
-			t.Errorf("PresenceClass(%s) = %q, want %q", name, got, want)
+		if got := presenceClass(cert, u, n); got != want {
+			t.Errorf("presenceClass(%s) = %q, want %q", name, got, want)
 		}
 	}
 }
@@ -334,12 +334,13 @@ func TestFigure3AndTables(t *testing.T) {
 
 // TestValidationSignatureChecks pins the signature verifications of the
 // paper pass's validation sweep, Table 3 then the Figure 3 categories,
-// over a fresh corpus and a 2,000-leaf world. One worker makes the count
+// over a fresh corpus and a 2,000-leaf world. One proc makes the count
 // exact: two workers can both miss the memo on one edge. The verifier
 // checks only edges into issuers that can reach a studied root, and about
 // a quarter of the leaves chain only to roots in no store, so the sweep
 // verifies fewer signatures than there are leaves to attribute.
 func TestValidationSignatureChecks(t *testing.T) {
+	setProcs(t, 1)
 	u := cauniverse.Default()
 	for _, tc := range []struct {
 		seed               int64
@@ -353,7 +354,7 @@ func TestValidationSignatureChecks(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := corpus.New()
-		n := notary.New(certgen.Epoch, notary.WithCorpus(c), notary.WithWorkers(1))
+		n := notary.New(certgen.Epoch, notary.WithCorpus(c))
 		tlsnet.Feed(w, n)
 		start := c.Stats().SignatureChecks
 		Table3(n, u)
@@ -388,14 +389,5 @@ func TestSessionsPerMonth(t *testing.T) {
 	}
 	if total != p.TotalSessions() {
 		t.Errorf("month totals = %d, want %d", total, p.TotalSessions())
-	}
-}
-
-func TestMarkerSize(t *testing.T) {
-	cases := map[int]int{0: 1, 1: 1, 63: 1, 64: 64, 255: 64, 256: 256, 511: 256, 512: 512, 1023: 512, 1024: 1024, 5000: 1024}
-	for in, want := range cases {
-		if got := MarkerSize(in); got != want {
-			t.Errorf("MarkerSize(%d) = %d, want %d", in, got, want)
-		}
 	}
 }

@@ -20,14 +20,8 @@ const (
 	ClassNotRecorded    Fig2Class = "Not recorded by ICSI Notary"
 )
 
-// PresenceClass classifies one certificate against the Mozilla and iOS7
-// stores and the Notary's records, as Figure 2's legend does.
-func PresenceClass(cert *x509.Certificate, p *population.Population, n *notary.Notary) Fig2Class {
-	return presenceClass(cert, p.Universe, n)
-}
-
-// presenceClass is PresenceClass against a bare universe — what the
-// incremental Figure 2 aggregate captures at construction.
+// presenceClass classifies one certificate against the universe's Mozilla
+// and iOS7 stores and the Notary's records, as Figure 2's legend does.
 func presenceClass(cert *x509.Certificate, u *cauniverse.Universe, n *notary.Notary) Fig2Class {
 	inMoz := u.Mozilla().Contains(cert)
 	inIOS := u.IOS7().Contains(cert)
@@ -72,14 +66,7 @@ type AttributionCell struct {
 // manufacturers and operators with fewer than 10 sessions exhibiting
 // modified root stores").
 func Figure2(p *population.Population, n *notary.Notary, minSessions int) []AttributionCell {
-	return defaultEngine.Figure2(p, n, minSessions)
-}
-
-// Figure2 builds the attribution matrix; see the package-level Figure2.
-func (e *Engine) Figure2(p *population.Population, n *notary.Notary, minSessions int) []AttributionCell {
-	return reduce(e, p, func() Aggregate[Batch, []AttributionCell] {
-		return NewFigure2Aggregate(p.Universe, n, minSessions)
-	})
+	return reduce(p, func() *figure2Agg { return newFigure2Agg(p.Universe, n, minSessions) })
 }
 
 // ClassShares summarizes the fraction of distinct displayed certificates in

@@ -54,34 +54,30 @@ type CategoryValidation struct {
 }
 
 // ValidateCategories runs the Notary validation analysis over categories in
-// one pass (Tables 3–4 and Figure 3 all come from this).
+// one pass (Tables 3–4 and Figure 3 all come from this): Notary.Validate
+// builds every leaf's chains once against the union of the categories'
+// roots, and each category's report becomes one row.
 func ValidateCategories(n *notary.Notary, cats []Category) []CategoryValidation {
-	return defaultEngine.ValidateCategories(n, cats)
-}
-
-// ValidateCategories runs the Notary validation analysis over categories in
-// one pass: the chain building fans out (and caches) inside the Notary's
-// AttributeLeaves, and the per-leaf attributions feed the mergeable
-// validation aggregate that projects them onto every category.
-func (e *Engine) ValidateCategories(n *notary.Notary, cats []Category) []CategoryValidation {
 	stores := make([]*rootstore.Store, len(cats))
 	for i, c := range cats {
 		stores[i] = c.Store
 	}
-	agg := NewValidationAggregate(cats)
-	agg.Add(n.AttributeLeaves(stores, n.UnexpiredLeafRefs()))
-	return agg.Result()
+	out := make([]CategoryValidation, len(cats))
+	for i, rep := range n.Validate(stores...) {
+		out[i] = CategoryValidation{
+			Name:         cats[i].Name,
+			TotalRoots:   rep.Store.Len(),
+			ZeroFraction: rep.ZeroValidationFraction(),
+			Validated:    rep.Validated,
+			ECDF:         stats.NewECDF(rep.PerRootCounts()),
+		}
+	}
+	return out
 }
 
 // Table3 validates the four AOSP versions plus Mozilla and iOS7, returning
 // rows in the paper's order.
 func Table3(n *notary.Notary, u *cauniverse.Universe) []CategoryValidation {
-	return defaultEngine.Table3(n, u)
-}
-
-// Table3 validates the four AOSP versions plus Mozilla and iOS7, returning
-// rows in the paper's order.
-func (e *Engine) Table3(n *notary.Notary, u *cauniverse.Universe) []CategoryValidation {
 	cats := []Category{
 		{"Mozilla", u.Mozilla()},
 		{"iOS 7", u.IOS7()},
@@ -89,5 +85,5 @@ func (e *Engine) Table3(n *notary.Notary, u *cauniverse.Universe) []CategoryVali
 	for _, v := range cauniverse.AOSPVersions() {
 		cats = append(cats, Category{"AOSP " + v, u.AOSP(v)})
 	}
-	return e.ValidateCategories(n, cats)
+	return ValidateCategories(n, cats)
 }

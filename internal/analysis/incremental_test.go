@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tangledmass/internal/population"
-	"tangledmass/internal/rootstore"
 )
 
 var batchSizes = []int{1, 7, 64}
@@ -19,164 +18,82 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// checkIncremental verifies the Aggregate contract for one analysis: feeding
-// batches one Add at a time, and merging independent per-batch aggregates in
-// batch order, are both byte-identical to a single Add of the whole fleet.
-func checkIncremental[R any](t *testing.T, name string, p *population.Population, newAgg func() Aggregate[Batch, R]) {
+// oneShotJSON folds the whole fleet into a with a single add and returns
+// the marshalled result.
+func oneShotJSON[A aggregate[A, R], R any](t *testing.T, p *population.Population, a A) string {
 	t.Helper()
-	oneShot := newAgg()
-	oneShot.Add(Batch{Handsets: p.Handsets, Sessions: p.Sessions})
-	want := mustJSON(t, oneShot.Result())
+	a.add(batch{handsets: p.Handsets, sessions: p.Sessions})
+	return mustJSON(t, a.result())
+}
+
+// checkIncremental verifies the aggregate contract for one analysis: adding
+// batches one at a time, and merging independent per-batch aggregates in
+// batch order, are both byte-identical to a single add of the whole fleet.
+func checkIncremental[A aggregate[A, R], R any](t *testing.T, name string, p *population.Population, newAgg func() A) {
+	t.Helper()
+	want := oneShotJSON(t, p, newAgg())
+	offs := sessionOffsets(p)
 	for _, size := range batchSizes {
 		seq, merged := newAgg(), newAgg()
-		for _, b := range Batches(p, size) {
-			seq.Add(b)
+		for start := 0; start < len(p.Handsets); start += size {
+			end := min(start+size, len(p.Handsets))
+			b := batch{handsets: p.Handsets[start:end], sessions: p.Sessions[offs[start]:offs[end]]}
+			seq.add(b)
 			part := newAgg()
-			part.Add(b)
-			merged.Merge(part)
+			part.add(b)
+			merged.merge(part)
 		}
-		if got := mustJSON(t, seq.Result()); got != want {
-			t.Errorf("%s: sequential Adds at batch size %d diverge from one-shot", name, size)
+		if got := mustJSON(t, seq.result()); got != want {
+			t.Errorf("%s: sequential adds at batch size %d diverge from one-shot", name, size)
 		}
-		if got := mustJSON(t, merged.Result()); got != want {
-			t.Errorf("%s: ordered Merge at batch size %d diverges from one-shot", name, size)
+		if got := mustJSON(t, merged.result()); got != want {
+			t.Errorf("%s: ordered merge at batch size %d diverges from one-shot", name, size)
 		}
 	}
 }
 
 func TestAggregatesIncrementalEqualsOneShot(t *testing.T) {
 	p, n := fixtures(t)
-	checkIncremental(t, "Table2", p, NewTable2Aggregate)
-	checkIncremental(t, "Figure1", p, NewFigure1Aggregate)
-	checkIncremental(t, "Headlines", p, NewHeadlinesAggregate)
-	checkIncremental(t, "Months", p, NewMonthsAggregate)
-	checkIncremental(t, "Table5", p, func() Aggregate[Batch, []RootedExclusive] {
-		return NewTable5Aggregate(p.Universe)
-	})
-	checkIncremental(t, "Figure2", p, func() Aggregate[Batch, []AttributionCell] {
-		return NewFigure2Aggregate(p.Universe, n, 10)
-	})
-	checkIncremental(t, "TrustAttribution", p, NewTrustAttributionAggregate)
+	checkIncremental(t, "Table2", p, newTable2Agg)
+	checkIncremental(t, "Figure1", p, newFigure1Agg)
+	checkIncremental(t, "Headlines", p, newHeadlinesAgg)
+	checkIncremental(t, "Months", p, newMonthsAgg)
+	checkIncremental(t, "Table5", p, func() *table5Agg { return newTable5Agg(p.Universe) })
+	checkIncremental(t, "Figure2", p, func() *figure2Agg { return newFigure2Agg(p.Universe, n, 10) })
+	checkIncremental(t, "TrustAttribution", p, newTrustAttrAgg)
 }
 
-// TestBatchesPartition checks Batches hands out every handset exactly once
-// with exactly its own contiguous sessions.
-func TestBatchesPartition(t *testing.T) {
-	p, _ := fixtures(t)
-	for _, size := range batchSizes {
-		var handsets, sessions int
-		for _, b := range Batches(p, size) {
-			if size > 0 && len(b.Handsets) > size {
-				t.Fatalf("batch holds %d handsets, cap %d", len(b.Handsets), size)
-			}
-			want := 0
-			for _, h := range b.Handsets {
-				want += h.SessionCount
-			}
-			if len(b.Sessions) != want {
-				t.Fatalf("batch pairs %d sessions with handsets owning %d", len(b.Sessions), want)
-			}
-			for _, s := range b.Sessions {
-				found := false
-				for _, h := range b.Handsets {
-					if s.Handset == h {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatal("batch carries a session of a foreign handset")
-				}
-			}
-			handsets += len(b.Handsets)
-			sessions += len(b.Sessions)
-		}
-		if handsets != len(p.Handsets) || sessions != len(p.Sessions) {
-			t.Fatalf("batches cover %d/%d handsets/sessions, want %d/%d",
-				handsets, sessions, len(p.Handsets), len(p.Sessions))
-		}
-	}
-}
-
-// TestValidationAggregateIncremental attributes the Notary's leaves in
-// chunks — rebuilding the attribution per chunk, as a streaming consumer
-// would — and checks the merged projection matches one attribution pass.
-func TestValidationAggregateIncremental(t *testing.T) {
-	p, n := fixtures(t)
-	cats := Figure3Categories(p.Universe)
-	stores := make([]*rootstore.Store, len(cats))
-	for i, c := range cats {
-		stores[i] = c.Store
-	}
-	leaves := n.UnexpiredLeafRefs()
-	oneShot := NewValidationAggregate(cats)
-	oneShot.Add(n.AttributeLeaves(stores, leaves))
-	want := mustJSON(t, oneShot.Result())
-
-	for _, chunk := range []int{100, 999} {
-		merged := NewValidationAggregate(cats)
-		for start := 0; start < len(leaves); start += chunk {
-			end := start + chunk
-			if end > len(leaves) {
-				end = len(leaves)
-			}
-			part := NewValidationAggregate(cats)
-			part.Add(n.AttributeLeaves(stores, leaves[start:end]))
-			merged.Merge(part)
-		}
-		if got := mustJSON(t, merged.Result()); got != want {
-			t.Errorf("chunked leaf attribution (chunk %d) diverges from one pass", chunk)
-		}
-	}
-
-	// The engine path is the same projection.
-	if got := mustJSON(t, NewEngine().ValidateCategories(n, cats)); got != want {
-		t.Errorf("Engine.ValidateCategories diverges from the validation aggregate")
-	}
-}
-
-// TestEngineMatchesOneShotAggregates pins the acceptance matrix: for seeds
-// 1–3 the engine's sharded reduce is byte-identical to a one-shot aggregate
-// fold at every worker count.
-func TestEngineMatchesOneShotAggregates(t *testing.T) {
+// TestReduceMatchesOneShotAggregates pins the acceptance matrix: for seeds
+// 1–3 every package function's sharded reduce, which slices the fleet into
+// one batch per worker, is byte-identical to a one-shot aggregate fold at
+// every GOMAXPROCS.
+func TestReduceMatchesOneShotAggregates(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		p, err := population.Generate(population.Config{Seed: seed, SessionScale: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole := Batch{Handsets: p.Handsets, Sessions: p.Sessions}
-		type artifact struct {
+		arts := []struct {
 			name string
 			want string
-			got  func(e *Engine) any
-		}
-		t2 := NewTable2Aggregate()
-		f1 := NewFigure1Aggregate()
-		hl := NewHeadlinesAggregate()
-		mo := NewMonthsAggregate()
-		t5 := NewTable5Aggregate(p.Universe)
-		f2 := NewFigure2Aggregate(p.Universe, nil, 10)
-		ta := NewTrustAttributionAggregate()
-		for _, a := range []interface{ Add(Batch) }{t2, f1, hl, mo, t5, f2, ta} {
-			a.Add(whole)
-		}
-		arts := []artifact{
-			{"Table2", mustJSON(t, t2.Result()), func(e *Engine) any {
-				d, m := e.Table2(p, len(p.Handsets))
-				return Table2Counts{Devices: d, Manufacturers: m}
+			got  func() any
+		}{
+			{"Table2", oneShotJSON(t, p, newTable2Agg()), func() any {
+				d, m := Table2(p, len(p.Handsets))
+				return table2Counts{Devices: d, Manufacturers: m}
 			}},
-			{"Figure1", mustJSON(t, f1.Result()), func(e *Engine) any { return e.Figure1(p) }},
-			{"Headlines", mustJSON(t, hl.Result()), func(e *Engine) any { return e.ComputeHeadlines(p) }},
-			{"Months", mustJSON(t, mo.Result()), func(e *Engine) any { return e.SessionsPerMonth(p) }},
-			{"Table5", mustJSON(t, t5.Result()), func(e *Engine) any { return e.Table5(p) }},
-			{"Figure2", mustJSON(t, f2.Result()), func(e *Engine) any { return e.Figure2(p, nil, 10) }},
-			{"TrustAttribution", mustJSON(t, ta.Result()), func(e *Engine) any { return e.ComputeTrustAttribution(p) }},
+			{"Figure1", oneShotJSON(t, p, newFigure1Agg()), func() any { return Figure1(p) }},
+			{"Headlines", oneShotJSON(t, p, newHeadlinesAgg()), func() any { return ComputeHeadlines(p) }},
+			{"Months", oneShotJSON(t, p, newMonthsAgg()), func() any { return SessionsPerMonth(p) }},
+			{"Table5", oneShotJSON(t, p, newTable5Agg(p.Universe)), func() any { return Table5(p) }},
+			{"Figure2", oneShotJSON(t, p, newFigure2Agg(p.Universe, nil, 10)), func() any { return Figure2(p, nil, 10) }},
+			{"TrustAttribution", oneShotJSON(t, p, newTrustAttrAgg()), func() any { return ComputeTrustAttribution(p) }},
 		}
-		for _, w := range workerCounts {
-			e := NewEngine(WithWorkers(w))
+		for _, procs := range procCounts {
+			setProcs(t, procs)
 			for _, a := range arts {
-				if got := mustJSON(t, a.got(e)); got != a.want {
-					t.Errorf("seed %d workers %d: %s diverges from one-shot aggregate", seed, w, a.name)
+				if got := mustJSON(t, a.got()); got != a.want {
+					t.Errorf("seed %d procs %d: %s diverges from one-shot aggregate", seed, procs, a.name)
 				}
 			}
 		}

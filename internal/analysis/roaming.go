@@ -43,12 +43,6 @@ type RoamingCandidate struct {
 // a different operator's network. Rooted handsets are excluded (their
 // stores are not trustworthy evidence of firmware provenance, §4.1).
 func RoamingCandidates(p *population.Population) []RoamingCandidate {
-	return defaultEngine.RoamingCandidates(p)
-}
-
-// RoamingCandidates scans the fleet for operator-service roots observed on
-// a different operator's network; see the package-level RoamingCandidates.
-func (e *Engine) RoamingCandidates(p *population.Population) []RoamingCandidate {
 	u := p.Universe
 	owners := map[certid.Identity]struct{ owner, name string }{}
 	for name, owner := range operatorRootOwners {
@@ -56,7 +50,7 @@ func (e *Engine) RoamingCandidates(p *population.Population) []RoamingCandidate 
 			owners[corpus.IdentityOf(r.Issued.Cert)] = struct{ owner, name string }{owner, name}
 		}
 	}
-	out := accumulate(e, len(p.Handsets),
+	out := accumulate(len(p.Handsets),
 		func() []RoamingCandidate { return nil },
 		func(out []RoamingCandidate, start, end int) []RoamingCandidate {
 			for i := start; i < end; i++ {

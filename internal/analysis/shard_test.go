@@ -34,21 +34,20 @@ func TestArtifactBytesIdenticalAcrossShardCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		artifact := func(ndb *notary.Notary) []byte {
-			e := NewEngine(WithWorkers(4))
-			dev, man := e.Table2(pop, 10)
+			dev, man := Table2(pop, 10)
 			doc := map[string]any{
 				"table2_devices":  dev,
 				"table2_makers":   man,
-				"figure1":         e.Figure1(pop),
-				"headlines":       e.ComputeHeadlines(pop),
-				"per_month":       e.SessionsPerMonth(pop),
-				"table5":          e.Table5(pop),
-				"missing":         e.MissingHandsets(pop),
-				"roaming":         e.RoamingCandidates(pop),
-				"figure2":         e.Figure2(pop, ndb, 5),
-				"trust_attr":      e.ComputeTrustAttribution(pop),
-				"table3":          e.Table3(ndb, pop.Universe),
-				"figure3":         e.ValidateCategories(ndb, Figure3Categories(pop.Universe)),
+				"figure1":         Figure1(pop),
+				"headlines":       ComputeHeadlines(pop),
+				"per_month":       SessionsPerMonth(pop),
+				"table5":          Table5(pop),
+				"missing":         MissingHandsets(pop),
+				"roaming":         RoamingCandidates(pop),
+				"figure2":         Figure2(pop, ndb, 5),
+				"trust_attr":      ComputeTrustAttribution(pop),
+				"table3":          Table3(ndb, pop.Universe),
+				"figure3":         ValidateCategories(ndb, Figure3Categories(pop.Universe)),
 				"port_dist":       ndb.PortDistribution(),
 				"unexpired":       ndb.NumUnexpired(),
 				"unique_entries":  ndb.NumUnique(),

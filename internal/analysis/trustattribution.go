@@ -64,15 +64,14 @@ type trustAttrAgg struct {
 	counts map[trustAttrKey]int
 }
 
-// NewTrustAttributionAggregate counts sessions per (cause, channel, API
-// level) cell incrementally. Counting is commutative, so Merge order cannot
-// change the result.
-func NewTrustAttributionAggregate() Aggregate[Batch, TrustAttribution] {
+// newTrustAttrAgg counts sessions per (cause, channel, API level) cell.
+// Counting is commutative, so merge order cannot change the result.
+func newTrustAttrAgg() *trustAttrAgg {
 	return &trustAttrAgg{counts: map[trustAttrKey]int{}}
 }
 
-func (a *trustAttrAgg) Add(b Batch) {
-	for _, s := range b.Sessions {
+func (a *trustAttrAgg) add(b batch) {
+	for _, s := range b.sessions {
 		a.counts[trustAttrKey{
 			cause:   trusteval.Attribute(sessionSignals(s)),
 			channel: s.Handset.TamperChannel(),
@@ -81,14 +80,13 @@ func (a *trustAttrAgg) Add(b Batch) {
 	}
 }
 
-func (a *trustAttrAgg) Merge(other Aggregate[Batch, TrustAttribution]) {
-	o := other.(*trustAttrAgg)
+func (a *trustAttrAgg) merge(o *trustAttrAgg) {
 	for k, n := range o.counts {
 		a.counts[k] += n
 	}
 }
 
-func (a *trustAttrAgg) Result() TrustAttribution {
+func (a *trustAttrAgg) result() TrustAttribution {
 	causeOrder := map[trusteval.Cause]int{}
 	for i, c := range trusteval.Causes() {
 		causeOrder[c] = i
@@ -126,11 +124,5 @@ func (a *trustAttrAgg) Result() TrustAttribution {
 // ComputeTrustAttribution attributes every session's interceptability to the
 // trust-decision layer that would fail it.
 func ComputeTrustAttribution(p *population.Population) TrustAttribution {
-	return defaultEngine.ComputeTrustAttribution(p)
-}
-
-// ComputeTrustAttribution attributes every session's interceptability to the
-// trust-decision layer that would fail it.
-func (e *Engine) ComputeTrustAttribution(p *population.Population) TrustAttribution {
-	return reduce(e, p, NewTrustAttributionAggregate)
+	return reduce(p, newTrustAttrAgg)
 }

@@ -91,7 +91,7 @@ func parseGen(name string) (gen uint64, isSnap, isWAL bool) {
 // checksum, and immediately checkpoints into a fresh generation, so a
 // recovered directory is always exactly one snapshot plus one journal.
 // opts configure the underlying Notary (WithCorpus, WithObserver,
-// WithWorkers...).
+// WithChainCache).
 func Open(fsys faultfs.FS, dir string, at time.Time, opts ...Option) (*DB, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("notary: creating data dir %s: %w", dir, err)

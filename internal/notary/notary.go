@@ -68,7 +68,6 @@ type Notary struct {
 	observer *obs.Observer
 	cache    *chain.Cache
 	cacheSet bool // WithChainCache was applied (possibly with nil)
-	workers  int
 	c        *corpus.Corpus
 
 	mu       sync.RWMutex
@@ -91,12 +90,6 @@ func WithObserver(o *obs.Observer) Option {
 // the cache invariant tests compare against.
 func WithChainCache(c *chain.Cache) Option {
 	return func(n *Notary) { n.cache, n.cacheSet = c, true }
-}
-
-// WithWorkers bounds the validation and ingest fan-out. Values < 1 (the
-// default) mean runtime.GOMAXPROCS.
-func WithWorkers(w int) Option {
-	return func(n *Notary) { n.workers = w }
 }
 
 // WithCorpus sets the intern table the database keys into (default: the
@@ -158,7 +151,7 @@ func (n *Notary) ObserveAll(batch []Observation) {
 		func(_ context.Context, i int) ([]corpus.Ref, error) {
 			return n.c.InternChain(batch[i].Chain), nil
 		},
-		parallel.WithWorkers(n.workers), parallel.WithObserver(n.observer))
+		parallel.WithObserver(n.observer))
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for i, o := range batch {
@@ -314,8 +307,7 @@ func (n *Notary) HasRecord(cert *x509.Certificate) bool {
 // UnexpiredLeafRefs returns the handles of non-expired certificates seen in
 // leaf position, ordered by SHA-1 fingerprint for determinism (refs are
 // interning-order-dependent and must never drive output order). This is the
-// leaf universe Validate attributes; incremental consumers slice it into
-// batches for AttributeLeaves.
+// leaf universe Validate and recommend.Sweep pass to AttributeLeaves.
 func (n *Notary) UnexpiredLeafRefs() []corpus.Ref {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -425,10 +417,9 @@ func (r *StoreReport) PerRootCounts() []float64 {
 	return out
 }
 
-// LeafAttribution records which root identities validate one Notary leaf —
-// the unit Validate projects onto stores, exposed so incremental consumers
-// (the analysis package's mergeable aggregates) can attribute leaves batch
-// by batch.
+// LeafAttribution records which root identities validate one Notary leaf:
+// the unit Validate projects onto stores and recommend.Sweep projects onto
+// every pruning threshold.
 type LeafAttribution struct {
 	Leaf  corpus.Ref
 	Roots []certid.Identity
@@ -437,6 +428,7 @@ type LeafAttribution struct {
 // AttributeLeaves builds each leaf's chains against the union of the given
 // stores' roots (plus every observed CA as intermediate) and reports, per
 // leaf, the root identities validating it, in the order leaves were given.
+// Validate and recommend.Sweep call it over UnexpiredLeafRefs.
 //
 // Path building is the expensive step: one ECDSA verification per new
 // issuer edge that can reach one of the stores' roots, so a leaf chaining
@@ -466,7 +458,7 @@ func (n *Notary) AttributeLeaves(stores []*rootstore.Store, leaves []corpus.Ref)
 		func(_ context.Context, i int) (LeafAttribution, error) {
 			return LeafAttribution{Leaf: leaves[i], Roots: n.cache.ValidatingRootsRef(verifier, leaves[i])}, nil
 		},
-		parallel.WithWorkers(n.workers), parallel.WithObserver(n.observer))
+		parallel.WithObserver(n.observer))
 	span.End()
 	return out
 }
@@ -474,94 +466,61 @@ func (n *Notary) AttributeLeaves(stores []*rootstore.Store, leaves []corpus.Ref)
 // Validate runs the paper's validation analysis for every store in one
 // crypto pass: it builds each leaf's chains once against the union of all
 // stores' roots (plus every observed CA as intermediate), attributes leaves
-// to validating roots, then projects the attribution onto each store.
+// to validating roots, then projects the attribution onto each store. A
+// leaf's root identities are resolved to identity handles once per
+// distinct store corpus, so matching them against members compares
+// integers.
 func (n *Notary) Validate(stores ...*rootstore.Store) []*StoreReport {
-	p := NewProjection(stores)
-	p.Add(n.AttributeLeaves(stores, n.UnexpiredLeafRefs()))
-	return p.Reports()
-}
-
-// Projection projects leaf attributions onto a fixed list of stores: how
-// many leaves each store validates, and how many each member root
-// validates. A leaf's root identities are resolved to identity handles
-// once per distinct store corpus, so matching them against members
-// compares integers. Projections of one store list over disjoint leaf sets
-// merge by addition, in any order.
-type Projection struct {
-	stores    []*rootstore.Store
-	corpora   []*corpus.Corpus // the distinct store corpora
-	corpusOf  []int            // stores[i]'s position in corpora
-	validated []int
+	attrs := n.AttributeLeaves(stores, n.UnexpiredLeafRefs())
+	var corpora []*corpus.Corpus // the distinct store corpora
+	corpusOf := make([]int, len(stores))
+	for i, s := range stores {
+		k := slices.Index(corpora, s.Corpus())
+		if k < 0 {
+			k = len(corpora)
+			corpora = append(corpora, s.Corpus())
+		}
+		corpusOf[i] = k
+	}
 	// perRoot[k] counts, per identity handle of corpora[k], the leaves the
 	// root validates.
-	perRoot []map[corpus.IdentityRef]int
-}
-
-// NewProjection returns an empty projection onto stores.
-func NewProjection(stores []*rootstore.Store) *Projection {
-	p := &Projection{stores: stores, corpusOf: make([]int, len(stores)), validated: make([]int, len(stores))}
-	for i, s := range stores {
-		k := slices.Index(p.corpora, s.Corpus())
-		if k < 0 {
-			k = len(p.corpora)
-			p.corpora = append(p.corpora, s.Corpus())
-			p.perRoot = append(p.perRoot, map[corpus.IdentityRef]int{})
-		}
-		p.corpusOf[i] = k
+	perRoot := make([]map[corpus.IdentityRef]int, len(corpora))
+	for k := range perRoot {
+		perRoot[k] = map[corpus.IdentityRef]int{}
 	}
-	return p
-}
-
-// Add projects a batch of leaf attributions.
-func (p *Projection) Add(attrs []LeafAttribution) {
-	handles := make([][]corpus.IdentityRef, len(p.corpora))
+	out := make([]*StoreReport, len(stores))
+	for i, s := range stores {
+		out[i] = &StoreReport{Store: s, PerRoot: make(map[certid.Identity]int, s.Len())}
+	}
+	handles := make([][]corpus.IdentityRef, len(corpora))
 	for _, a := range attrs {
-		for k, c := range p.corpora {
+		for k, c := range corpora {
 			hs := handles[k][:0]
 			for _, id := range a.Roots {
 				// A root the corpus has never interned is a member of none
 				// of its stores.
 				if h := c.LookupIdentity(id); h != 0 {
 					hs = append(hs, h)
-					p.perRoot[k][h]++
+					perRoot[k][h]++
 				}
 			}
 			handles[k] = hs
 		}
-		for i, s := range p.stores {
-			for _, h := range handles[p.corpusOf[i]] {
+		for i, s := range stores {
+			for _, h := range handles[corpusOf[i]] {
 				if s.ContainsHandle(h) {
-					p.validated[i]++
+					out[i].Validated++
 					break
 				}
 			}
 		}
 	}
-}
-
-// Merge adds o, a projection onto the same stores, into p.
-func (p *Projection) Merge(o *Projection) {
-	for i, v := range o.validated {
-		p.validated[i] += v
-	}
-	for k, m := range o.perRoot {
-		for h, v := range m {
-			p.perRoot[k][h] += v
-		}
-	}
-}
-
-// Reports returns one report per store, in store order.
-func (p *Projection) Reports() []*StoreReport {
-	out := make([]*StoreReport, len(p.stores))
-	for i, s := range p.stores {
-		counts := p.perRoot[p.corpusOf[i]]
-		rep := &StoreReport{Store: s, Validated: p.validated[i], PerRoot: make(map[certid.Identity]int, s.Len())}
+	for i, s := range stores {
+		counts := perRoot[corpusOf[i]]
 		for _, ref := range s.Refs() {
 			e := s.Corpus().Entry(ref)
-			rep.PerRoot[e.Identity] = counts[e.IdentityRef]
+			out[i].PerRoot[e.Identity] = counts[e.IdentityRef]
 		}
-		out[i] = rep
 	}
 	return out
 }

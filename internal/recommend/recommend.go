@@ -35,7 +35,7 @@ type Minimization struct {
 	// Threshold is the minimum validation count a root needed to be kept.
 	Threshold int
 	// Keep and Remove partition the store's roots, each sorted by
-	// descending validations then subject.
+	// descending validations, then subject, then key.
 	Keep   []RootUsage
 	Remove []RootUsage
 	// Pruned is the store with Remove applied.
@@ -89,7 +89,10 @@ func sortUsage(us []RootUsage) {
 		if us[i].Validations != us[j].Validations {
 			return us[i].Validations > us[j].Validations
 		}
-		return us[i].Identity.Subject < us[j].Identity.Subject
+		if us[i].Identity.Subject != us[j].Identity.Subject {
+			return us[i].Identity.Subject < us[j].Identity.Subject
+		}
+		return us[i].Identity.Key < us[j].Identity.Key
 	})
 }
 
@@ -119,9 +122,9 @@ func EvaluateBreakage(n *notary.Notary, m *Minimization) Breakage {
 	return b
 }
 
-// Sweep runs Minimize across thresholds, returning one (proposal, breakage)
-// pair per threshold — the ablation behind "how aggressively can a store be
-// pruned before users notice".
+// SweepPoint is one threshold of a Sweep: what Minimize would remove there
+// and what EvaluateBreakage would measure — the ablation behind "how
+// aggressively can a store be pruned before users notice".
 type SweepPoint struct {
 	Threshold    int
 	Removed      int
@@ -131,20 +134,51 @@ type SweepPoint struct {
 	KeptValidate int
 }
 
-// Sweep evaluates the given thresholds in order.
+// Sweep evaluates the given thresholds in order, returning for each the
+// point Minimize and EvaluateBreakage would give. It attributes the
+// store's unexpired Notary leaves once: a threshold removes every root
+// validating fewer than max(threshold, 1) leaves, and a leaf stays
+// validated while one of its validating roots is kept.
 func Sweep(n *notary.Notary, store *rootstore.Store, thresholds []int) []SweepPoint {
+	attrs := n.AttributeLeaves([]*rootstore.Store{store}, n.UnexpiredLeafRefs())
+	counts := make(map[certid.Identity]int, store.Len())
+	for _, a := range attrs {
+		for _, id := range a.Roots {
+			counts[id]++
+		}
+	}
+	// best[i] is the largest count among leaf i's validating roots: the
+	// leaf survives exactly the thresholds that keep that root.
+	best := make([]int, len(attrs))
+	for i, a := range attrs {
+		for _, id := range a.Roots {
+			best[i] = max(best[i], counts[id])
+		}
+	}
 	out := make([]SweepPoint, 0, len(thresholds))
 	for _, th := range thresholds {
-		m := Minimize(n, store, th)
-		br := EvaluateBreakage(n, m)
-		out = append(out, SweepPoint{
-			Threshold:    th,
-			Removed:      len(m.Remove),
-			RemovedFrac:  m.RemovableFraction(),
-			Broken:       br.Broken,
-			BrokenFrac:   br.BrokenFraction(),
-			KeptValidate: br.After,
-		})
+		floor := max(th, 1)
+		pt := SweepPoint{Threshold: th}
+		for _, ref := range store.Refs() {
+			if counts[store.Corpus().Identity(ref)] < floor {
+				pt.Removed++
+			}
+		}
+		if store.Len() > 0 {
+			pt.RemovedFrac = float64(pt.Removed) / float64(store.Len())
+		}
+		var br Breakage
+		for _, b := range best {
+			if b >= 1 {
+				br.Before++
+			}
+			if b >= floor {
+				br.After++
+			}
+		}
+		br.Broken = br.Before - br.After
+		pt.Broken, pt.BrokenFrac, pt.KeptValidate = br.Broken, br.BrokenFraction(), br.After
+		out = append(out, pt)
 	}
 	return out
 }

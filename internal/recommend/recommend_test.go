@@ -1,6 +1,8 @@
 package recommend
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/certgen"
 	"tangledmass/internal/notary"
+	"tangledmass/internal/rootstore"
 	"tangledmass/internal/tlsnet"
 )
 
@@ -132,5 +135,73 @@ func TestThresholdFloor(t *testing.T) {
 	m := Minimize(n, u.AOSP("4.1"), -3)
 	if m.Threshold != 1 {
 		t.Errorf("threshold floor = %d, want 1", m.Threshold)
+	}
+}
+
+// TestSweepMatchesPerThreshold pins the one-pass Sweep to the
+// per-threshold path: at every threshold it must report exactly what
+// Minimize followed by EvaluateBreakage reports.
+func TestSweepMatchesPerThreshold(t *testing.T) {
+	u := cauniverse.Default()
+	thresholds := []int{0, 1, 2, 5, 10, 25, 50, 100}
+	for _, seed := range []int64{1, 7} {
+		w, err := tlsnet.NewWorld(tlsnet.Config{Seed: seed, NumLeaves: 10000, Universe: u})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := notary.New(certgen.Epoch)
+		tlsnet.Feed(w, n)
+		for _, store := range []*rootstore.Store{u.AOSP("4.4"), u.Mozilla(), u.IOS7()} {
+			got := Sweep(n, store, thresholds)
+			if len(got) != len(thresholds) {
+				t.Fatalf("seed %d %s: %d sweep points, want %d", seed, store.Name(), len(got), len(thresholds))
+			}
+			for i, th := range thresholds {
+				m := Minimize(n, store, th)
+				br := EvaluateBreakage(n, m)
+				want := SweepPoint{
+					Threshold:    th,
+					Removed:      len(m.Remove),
+					RemovedFrac:  m.RemovableFraction(),
+					Broken:       br.Broken,
+					BrokenFrac:   br.BrokenFraction(),
+					KeptValidate: br.After,
+				}
+				if got[i] != want {
+					t.Errorf("seed %d %s threshold %d: Sweep = %+v, Minimize+EvaluateBreakage = %+v",
+						seed, store.Name(), th, got[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestMinimizeOrdersTiesByKey gives Minimize six roots that share a
+// subject but not a key and validate nothing, as a cacerts directory can:
+// every call must list them in one order, by key.
+func TestMinimizeOrdersTiesByKey(t *testing.T) {
+	g := certgen.NewGenerator(11)
+	store := rootstore.New("same-subject roots")
+	for i := 0; i < 6; i++ {
+		ca, err := g.SelfSignedCA("Example Twin Root", certgen.WithKeyName(fmt.Sprintf("twin-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Add(ca.Cert)
+	}
+	n := notary.New(certgen.Epoch)
+	first := Minimize(n, store, 1).Remove
+	if len(first) != 6 {
+		t.Fatalf("Remove holds %d roots, want 6", len(first))
+	}
+	for i := 1; i < len(first); i++ {
+		if first[i-1].Identity.Key >= first[i].Identity.Key {
+			t.Fatalf("Remove[%d] and Remove[%d] are not in key order", i-1, i)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		if got := Minimize(n, store, 1).Remove; !reflect.DeepEqual(got, first) {
+			t.Fatalf("call %d returned Remove in another order", i+2)
+		}
 	}
 }

@@ -70,10 +70,11 @@ go test -race ./...
 
 # Tests that mint certificates share the process-wide corpus, and a seeded
 # generator re-creates byte-identical certificates on a second run in the
-# same process. Running these packages three times in one process fails
-# any test whose outcome depends on state an earlier run left behind.
+# same process. The analysis tests also set GOMAXPROCS, another
+# process-wide setting. Running these packages three times in one process
+# fails any test whose outcome depends on state an earlier run left behind.
 echo "==> count: certificate-minting tests, three runs per process"
-go test -count=3 ./internal/chain/ ./internal/rootstore/ ./internal/trusteval/ ./internal/corpus/ ./internal/certid/ ./internal/certgen/ ./internal/tlsnet/ ./internal/cauniverse/ ./internal/mitm/
+go test -count=3 ./internal/chain/ ./internal/rootstore/ ./internal/trusteval/ ./internal/corpus/ ./internal/certid/ ./internal/certgen/ ./internal/tlsnet/ ./internal/cauniverse/ ./internal/mitm/ ./internal/analysis/ ./internal/recommend/
 
 # The bench-gate compares the Table/Figure benchmarks against the committed
 # serial baseline and fails on a >25% ns/op regression or a >25% allocs/op
