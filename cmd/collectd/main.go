@@ -1,10 +1,10 @@
 // Command collectd runs the measurement collection back end: the service
-// Netalyzr sessions submit their reports to (§4.1). It prints the live
-// aggregate on SIGINT.
+// Netalyzr sessions submit their reports to (§4.1). It keeps only the
+// running aggregate, not the reports, and prints it on SIGINT.
 //
 // Usage:
 //
-//	collectd [-addr 127.0.0.1:7512] [-keep] [-debug 127.0.0.1:7582]
+//	collectd [-addr 127.0.0.1:7512] [-debug 127.0.0.1:7582]
 //
 // -debug mounts the observability snapshot (submit/dedupe/reject counters,
 // connection gauges) as JSON on an HTTP listener.
@@ -27,21 +27,16 @@ func main() {
 	log.SetPrefix("collectd: ")
 	var (
 		addr  = flag.String("addr", "127.0.0.1:7512", "listen address")
-		keep  = flag.Bool("keep", false, "retain full reports in memory (not just aggregates)")
 		debug = flag.String("debug", "", "serve the observability snapshot over HTTP on this address (empty: disabled)")
 	)
 	flag.Parse()
-	if err := run(*addr, *keep, *debug); err != nil {
+	if err := run(*addr, *debug); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(addr string, keep bool, debug string) error {
-	opts := []collect.Option{}
-	if keep {
-		opts = append(opts, collect.WithKeepReports())
-	}
-	srv, err := collect.NewServer(addr, opts...)
+func run(addr, debug string) error {
+	srv, err := collect.NewServer(addr)
 	if err != nil {
 		return err
 	}

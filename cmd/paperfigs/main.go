@@ -135,12 +135,11 @@ func run(seed int64, scale float64, leaves int, only, jsonTo, csvDir string) err
 		section("Figure 2: vendor/operator certificate attribution (top 12 per group)")
 		cells := analysis.Figure2(pop, ndb, 10)
 		artifacts["figure2"] = cells
-		artifacts["figure2_class_shares"] = analysis.ClassShares(cells)
+		shares := analysis.ClassShares(cells)
+		artifacts["figure2_class_shares"] = shares
 		fmt.Print(report.Figure2(cells, 12))
 		fmt.Println("\nPresence-class shares over displayed certificates:")
-		for cl, share := range analysis.ClassShares(cells) {
-			fmt.Printf("  %-30s %.1f%%\n", cl, share*100)
-		}
+		fmt.Print(report.ClassShares(shares))
 	}
 
 	if want("table3") {

@@ -58,7 +58,5 @@ func main() {
 
 	cells := analysis.Figure2(pop, ndb, 10)
 	fmt.Printf("\nFigure 2 attribution matrix: %d cells; class shares over displayed certs:\n", len(cells))
-	for class, share := range analysis.ClassShares(cells) {
-		fmt.Printf("  %-30s %.1f%%\n", class, share*100)
-	}
+	fmt.Print(report.ClassShares(analysis.ClassShares(cells)))
 }

@@ -31,9 +31,6 @@ func main() {
 	freedom := device.App{
 		Name:         "Freedom",
 		RequiresRoot: true,
-		Permissions: []string{
-			"ACCESS_GOOGLE_ACCOUNTS", "READ_PHONE_STATE", "WRITE_SETTINGS",
-		},
 		InstallRoots: []*x509.Certificate{u.Root("CRAZY HOUSE").Issued.Cert},
 	}
 

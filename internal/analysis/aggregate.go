@@ -46,21 +46,15 @@ func sessionOffsets(p *population.Population) []int {
 	return offs
 }
 
-// accumulate folds [0, n) on the parallel engine's GOMAXPROCS-sized pool.
-// Aggregations cannot fail and run under a background context, so the
-// error is dropped by design.
-func accumulate[A any](n int, newA func() A, fold func(acc A, start, end int) A, merge func(into, from A) A) A {
-	acc, _ := parallel.Accumulate(context.Background(), n, newA, fold, merge)
-	return acc
-}
-
-// reduce folds the whole fleet through fresh aggregates: each worker adds
-// its contiguous shard of handsets as one batch, and the shard aggregates
-// merge in ascending shard order — so the result is byte-identical to
-// newAgg().add(everything) at any worker count.
+// reduce folds the whole fleet through fresh aggregates on the parallel
+// engine's GOMAXPROCS-sized pool: each worker adds its contiguous shard of
+// handsets as one batch, and the shard aggregates merge in ascending shard
+// order — so the result is byte-identical to newAgg().add(everything) at
+// any worker count. Aggregations cannot fail and run under a background
+// context, so the error is dropped by design.
 func reduce[A aggregate[A, R], R any](p *population.Population, newAgg func() A) R {
 	offs := sessionOffsets(p)
-	agg := accumulate(len(p.Handsets),
+	agg, _ := parallel.Accumulate(context.Background(), len(p.Handsets),
 		newAgg,
 		func(a A, start, end int) A {
 			a.add(batch{
@@ -242,40 +236,6 @@ func (a *headlinesAgg) result() Headlines {
 		h.RootedExclusiveOfRoots = float64(a.rootedExcl) / float64(a.rooted)
 	}
 	return h
-}
-
-type monthsAgg struct {
-	counts map[string]int
-}
-
-// newMonthsAgg histograms sessions over the collection window.
-func newMonthsAgg() *monthsAgg {
-	return &monthsAgg{counts: map[string]int{}}
-}
-
-func (a *monthsAgg) add(b batch) {
-	for _, s := range b.sessions {
-		a.counts[s.At.Format("2006-01")]++
-	}
-}
-
-func (a *monthsAgg) merge(o *monthsAgg) {
-	for m, n := range o.counts {
-		a.counts[m] += n
-	}
-}
-
-func (a *monthsAgg) result() []MonthCount {
-	months := make([]string, 0, len(a.counts))
-	for m := range a.counts {
-		months = append(months, m)
-	}
-	sort.Strings(months)
-	out := make([]MonthCount, len(months))
-	for i, m := range months {
-		out[i] = MonthCount{Month: m, Sessions: a.counts[m]}
-	}
-	return out
 }
 
 // rootKey names one root identity by its handle in the corpus holding it.

@@ -105,18 +105,6 @@ func ComputeHeadlines(p *population.Population) Headlines {
 	return reduce(p, newHeadlinesAgg)
 }
 
-// MonthCount is one month of the collection window with its session count.
-type MonthCount struct {
-	Month    string // "2013-11"
-	Sessions int
-}
-
-// SessionsPerMonth histograms the fleet's sessions over the §4.1 collection
-// window (November 2013 – April 2014).
-func SessionsPerMonth(p *population.Population) []MonthCount {
-	return reduce(p, newMonthsAgg)
-}
-
 // RootedExclusive is one Table 5 row: a root found exclusively on rooted
 // handsets.
 type RootedExclusive struct {
@@ -131,33 +119,6 @@ type RootedExclusive struct {
 // reported, sorted by device count.
 func Table5(p *population.Population) []RootedExclusive {
 	return reduce(p, func() *table5Agg { return newTable5Agg(p.Universe) })
-}
-
-// MissingReport lists the handsets missing AOSP roots (§5's "only 5
-// handsets").
-type MissingReport struct {
-	HandsetID int
-	Model     string
-	Version   string
-	Missing   int
-}
-
-// MissingHandsets reports every handset whose store lacks AOSP roots.
-func MissingHandsets(p *population.Population) []MissingReport {
-	out := accumulate(len(p.Handsets),
-		func() []MissingReport { return nil },
-		func(out []MissingReport, start, end int) []MissingReport {
-			for i := start; i < end; i++ {
-				h := p.Handsets[i]
-				if h.MissingCount > 0 {
-					out = append(out, MissingReport{h.ID, h.Model, h.Version, h.MissingCount})
-				}
-			}
-			return out
-		},
-		func(into, from []MissingReport) []MissingReport { return append(into, from...) })
-	sort.Slice(out, func(i, j int) bool { return out[i].HandsetID < out[j].HandsetID })
-	return out
 }
 
 // OverlapReport quantifies §2's AOSP/Mozilla overlap both ways.

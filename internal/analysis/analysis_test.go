@@ -134,8 +134,14 @@ func TestHeadlines(t *testing.T) {
 	if h.InterceptedSessions != 1 {
 		t.Errorf("intercepted sessions = %d, want 1", h.InterceptedSessions)
 	}
-	if len(MissingHandsets(p)) != h.MissingHandsets {
-		t.Error("MissingHandsets disagrees with headline count")
+	missing := 0
+	for _, hs := range p.Handsets {
+		if hs.MissingCount > 0 {
+			missing++
+		}
+	}
+	if missing != h.MissingHandsets {
+		t.Errorf("%d handsets lack AOSP roots, headline says %d", missing, h.MissingHandsets)
 	}
 }
 
@@ -231,31 +237,6 @@ func TestPresenceClass(t *testing.T) {
 		if got := presenceClass(cert, u, n); got != want {
 			t.Errorf("presenceClass(%s) = %q, want %q", name, got, want)
 		}
-	}
-}
-
-func TestRoamingCandidates(t *testing.T) {
-	p, _ := fixtures(t)
-	cands := RoamingCandidates(p)
-	if len(cands) == 0 {
-		t.Fatal("paper-scale fleet should contain roaming candidates (§5.2)")
-	}
-	for _, c := range cands {
-		if c.RootOwner == c.ServingOperator {
-			t.Fatalf("candidate %d not foreign: %s on %s", c.HandsetID, c.RootName, c.ServingOperator)
-		}
-	}
-	// The §5.2 signature case: Telefonica roots observed on Claro/Movistar
-	// networks.
-	foundTelefonica := false
-	for _, c := range cands {
-		if c.RootOwner == "TELEFONICA" && (c.ServingOperator == "CLARO" || c.ServingOperator == "MOVISTAR") {
-			foundTelefonica = true
-			break
-		}
-	}
-	if !foundTelefonica {
-		t.Error("expected Telefonica roots on Claro/Movistar networks")
 	}
 }
 
@@ -368,26 +349,5 @@ func TestValidationSignatureChecks(t *testing.T) {
 		if leaves := len(n.UnexpiredLeafRefs()); end-start >= int64(leaves) {
 			t.Errorf("seed %d: the sweep checked %d signatures for %d unexpired leaves, want fewer", tc.seed, end-start, leaves)
 		}
-	}
-}
-
-func TestSessionsPerMonth(t *testing.T) {
-	p, _ := fixtures(t)
-	months := SessionsPerMonth(p)
-	if len(months) != 6 {
-		t.Fatalf("months = %d, want 6 (Nov 2013 – Apr 2014)", len(months))
-	}
-	if months[0].Month != "2013-11" || months[len(months)-1].Month != "2014-04" {
-		t.Errorf("window = %s..%s", months[0].Month, months[len(months)-1].Month)
-	}
-	total := 0
-	for _, m := range months {
-		if m.Sessions <= 0 {
-			t.Errorf("%s has %d sessions", m.Month, m.Sessions)
-		}
-		total += m.Sessions
-	}
-	if total != p.TotalSessions() {
-		t.Errorf("month totals = %d, want %d", total, p.TotalSessions())
 	}
 }

@@ -57,7 +57,6 @@ func TestAggregatesIncrementalEqualsOneShot(t *testing.T) {
 	checkIncremental(t, "Table2", p, newTable2Agg)
 	checkIncremental(t, "Figure1", p, newFigure1Agg)
 	checkIncremental(t, "Headlines", p, newHeadlinesAgg)
-	checkIncremental(t, "Months", p, newMonthsAgg)
 	checkIncremental(t, "Table5", p, func() *table5Agg { return newTable5Agg(p.Universe) })
 	checkIncremental(t, "Figure2", p, func() *figure2Agg { return newFigure2Agg(p.Universe, n, 10) })
 	checkIncremental(t, "TrustAttribution", p, newTrustAttrAgg)
@@ -84,7 +83,6 @@ func TestReduceMatchesOneShotAggregates(t *testing.T) {
 			}},
 			{"Figure1", oneShotJSON(t, p, newFigure1Agg()), func() any { return Figure1(p) }},
 			{"Headlines", oneShotJSON(t, p, newHeadlinesAgg()), func() any { return ComputeHeadlines(p) }},
-			{"Months", oneShotJSON(t, p, newMonthsAgg()), func() any { return SessionsPerMonth(p) }},
 			{"Table5", oneShotJSON(t, p, newTable5Agg(p.Universe)), func() any { return Table5(p) }},
 			{"Figure2", oneShotJSON(t, p, newFigure2Agg(p.Universe, nil, 10)), func() any { return Figure2(p, nil, 10) }},
 			{"TrustAttribution", oneShotJSON(t, p, newTrustAttrAgg()), func() any { return ComputeTrustAttribution(p) }},

@@ -40,10 +40,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}},
 		{"Figure1", func() any { return Figure1(p) }},
 		{"ComputeHeadlines", func() any { return ComputeHeadlines(p) }},
-		{"SessionsPerMonth", func() any { return SessionsPerMonth(p) }},
 		{"Table5", func() any { return Table5(p) }},
-		{"MissingHandsets", func() any { return MissingHandsets(p) }},
-		{"RoamingCandidates", func() any { return RoamingCandidates(p) }},
 		{"Figure2", func() any { return Figure2(p, n, 10) }},
 		{"TrustAttribution", func() any { return ComputeTrustAttribution(p) }},
 		{"Table3", func() any { return Table3(n, p.Universe) }},
@@ -87,10 +84,7 @@ func TestArtifactBytesIdenticalAcrossWorkerCounts(t *testing.T) {
 				"table2_makers":   man,
 				"figure1":         Figure1(pop),
 				"headlines":       ComputeHeadlines(pop),
-				"per_month":       SessionsPerMonth(pop),
 				"table5":          Table5(pop),
-				"missing":         MissingHandsets(pop),
-				"roaming":         RoamingCandidates(pop),
 				"figure2":         Figure2(pop, ndb, 5),
 				"trust_attr":      ComputeTrustAttribution(pop),
 				"table3":          Table3(ndb, pop.Universe),

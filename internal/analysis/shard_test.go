@@ -40,10 +40,7 @@ func TestArtifactBytesIdenticalAcrossShardCounts(t *testing.T) {
 				"table2_makers":   man,
 				"figure1":         Figure1(pop),
 				"headlines":       ComputeHeadlines(pop),
-				"per_month":       SessionsPerMonth(pop),
 				"table5":          Table5(pop),
-				"missing":         MissingHandsets(pop),
-				"roaming":         RoamingCandidates(pop),
 				"figure2":         Figure2(pop, ndb, 5),
 				"trust_attr":      ComputeTrustAttribution(pop),
 				"table3":          Table3(ndb, pop.Universe),

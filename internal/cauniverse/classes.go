@@ -83,24 +83,3 @@ func (c Class) IsExtra() bool {
 	}
 	return false
 }
-
-// InMozilla reports whether roots of this class are members of Mozilla's
-// store.
-func (c Class) InMozilla() bool {
-	switch c {
-	case SharedByte, SharedReissued, MozillaUnobserved, ExtraBoth, ExtraMozillaOnly:
-		return true
-	}
-	return false
-}
-
-// InIOS7 reports whether roots of this class are members of iOS7's store.
-// SharedByte and AOSPOnly membership in iOS7 is partial and decided per
-// root; this reports false for those (see Universe construction).
-func (c Class) InIOS7() bool {
-	switch c {
-	case ExtraBoth, ExtraIOSOnly, IOSExclusive:
-		return true
-	}
-	return false
-}

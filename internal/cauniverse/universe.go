@@ -401,17 +401,6 @@ func (u *Universe) Extras() []*Root {
 	return out
 }
 
-// RootedOnlyRoots returns the Table 5 roots.
-func (u *Universe) RootedOnlyRoots() []*Root {
-	var out []*Root
-	for _, r := range u.roots {
-		if r.Class == RootedOnly {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // InterceptionRoot returns the §7 proxy signing root.
 func (u *Universe) InterceptionRoot() *Root {
 	return u.byName[interceptionName]

@@ -212,7 +212,12 @@ func TestIssuingRootsValidateTheirLeaves(t *testing.T) {
 
 func TestRootedOnlyAndInterception(t *testing.T) {
 	u := Default()
-	rooted := u.RootedOnlyRoots()
+	var rooted []*Root
+	for _, r := range u.Roots() {
+		if r.Class == RootedOnly {
+			rooted = append(rooted, r)
+		}
+	}
 	if len(rooted) != 5 {
 		t.Fatalf("rooted-only roots = %d, want 5 (Table 5)", len(rooted))
 	}
@@ -291,14 +296,15 @@ func TestCatalogCompleteness(t *testing.T) {
 	if len(extraCatalog) != 112 {
 		t.Errorf("extras catalog = %d entries, want 112", len(extraCatalog))
 	}
-	// Class helpers agree with store membership.
+	// Each extra's class agrees with its Mozilla and iOS7 membership.
 	for _, r := range u.Extras() {
-		inMoz := u.Mozilla().Contains(r.Issued.Cert)
-		if r.Class.InMozilla() != inMoz {
-			t.Errorf("%s: InMozilla()=%v but store membership=%v", r.Name, r.Class.InMozilla(), inMoz)
+		wantMoz := r.Class == ExtraBoth || r.Class == ExtraMozillaOnly
+		if inMoz := u.Mozilla().Contains(r.Issued.Cert); inMoz != wantMoz {
+			t.Errorf("%s: class %v but Mozilla membership=%v", r.Name, r.Class, inMoz)
 		}
-		if r.Class.InIOS7() != u.IOS7().Contains(r.Issued.Cert) {
-			t.Errorf("%s: InIOS7() disagrees with store membership", r.Name)
+		wantIOS := r.Class == ExtraBoth || r.Class == ExtraIOSOnly
+		if inIOS := u.IOS7().Contains(r.Issued.Cert); inIOS != wantIOS {
+			t.Errorf("%s: class %v but iOS7 membership=%v", r.Name, r.Class, inIOS)
 		}
 		if !r.Class.IsExtra() {
 			t.Errorf("%s: Extras() returned non-extra class %v", r.Name, r.Class)

@@ -76,25 +76,6 @@ func Render(cert *x509.Certificate, opts Options) string {
 	return b.String()
 }
 
-// RenderChain renders a chain leaf-first, with position labels.
-func RenderChain(chain []*x509.Certificate, opts Options) string {
-	var b strings.Builder
-	for i, c := range chain {
-		role := "intermediate"
-		switch {
-		case i == 0 && len(chain) == 1:
-			role = "certificate"
-		case i == 0:
-			role = "leaf"
-		case i == len(chain)-1:
-			role = "root"
-		}
-		b.WriteString(fmt.Sprintf("--- chain[%d] (%s) ---\n", i, role))
-		b.WriteString(Render(c, opts))
-	}
-	return b.String()
-}
-
 func describeKey(cert *x509.Certificate) string {
 	switch pub := cert.PublicKey.(type) {
 	case *rsa.PublicKey:

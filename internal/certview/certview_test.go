@@ -101,17 +101,3 @@ func TestRenderPEMRoundTrips(t *testing.T) {
 		t.Error("rendered PEM does not round-trip to the same certificate")
 	}
 }
-
-func TestRenderChainRoles(t *testing.T) {
-	chain := testChain(t)
-	out := RenderChain(chain, Options{})
-	for _, want := range []string{"chain[0] (leaf)", "chain[1] (intermediate)", "chain[2] (root)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("chain rendering missing %q", want)
-		}
-	}
-	single := RenderChain(chain[:1], Options{})
-	if !strings.Contains(single, "chain[0] (certificate)") {
-		t.Error("single-cert chain should be labeled 'certificate'")
-	}
-}

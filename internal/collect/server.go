@@ -64,8 +64,8 @@ func NewServer(addr string, opts ...Option) (*Server, error) {
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.l.Addr() }
 
-// Observer returns the server's observer — the daemons mount obs.Handler
-// on it.
+// Observer returns the server's observer — collectd serves it on its
+// -debug listener through obs.ServeDebug.
 func (s *Server) Observer() *obs.Observer { return s.obs }
 
 // Snapshot captures the server's current metrics: submit/dedupe/rejection

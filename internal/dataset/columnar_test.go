@@ -76,7 +76,6 @@ func artifacts(t *testing.T, p *population.Population) []byte {
 		"manufacturers": manufacturers,
 		"figure1":       analysis.Figure1(p),
 		"figure2":       analysis.Figure2(p, nil, 10),
-		"months":        analysis.SessionsPerMonth(p),
 		"table5":        analysis.Table5(p),
 		// Depends on the serialized app profiles: byte equality here proves
 		// the policy column round-trips in both formats.

@@ -94,26 +94,6 @@ func TestUserStoreAlwaysWritable(t *testing.T) {
 	}
 }
 
-func TestDisableEnable(t *testing.T) {
-	d := newTestDevice(t, nil)
-	target := d.SystemStore().Certificates()[3]
-	id := certid.IdentityOf(target)
-	d.DisableCert(id)
-	if !d.Disabled(id) {
-		t.Error("Disabled should report true")
-	}
-	if d.EffectiveStore().ContainsIdentity(id) {
-		t.Error("disabled cert still in effective store")
-	}
-	if !d.SystemStore().ContainsIdentity(id) {
-		t.Error("disable must not delete from system store")
-	}
-	d.EnableCert(id)
-	if !d.EffectiveStore().ContainsIdentity(id) {
-		t.Error("re-enabled cert missing from effective store")
-	}
-}
-
 func TestEffectiveStoreIsACopy(t *testing.T) {
 	d := newTestDevice(t, nil)
 	eff := d.EffectiveStore()
@@ -128,14 +108,10 @@ func TestFreedomAppRequiresRoot(t *testing.T) {
 	freedom := App{
 		Name:         "Freedom",
 		RequiresRoot: true,
-		Permissions:  []string{"ACCESS_GOOGLE_ACCOUNTS", "READ_PHONE_STATE", "WRITE_SETTINGS"},
 		InstallRoots: []*x509.Certificate{extraCert(t, "CRAZY HOUSE")},
 	}
 	if err := d.Install(freedom); !errors.Is(err, ErrNeedsRoot) {
 		t.Errorf("install on non-rooted = %v, want ErrNeedsRoot", err)
-	}
-	if len(d.Apps()) != 0 {
-		t.Error("failed install should not register the app")
 	}
 	if d.SystemStore().Contains(extraCert(t, "CRAZY HOUSE")) {
 		t.Error("failed install should not touch the store")
@@ -147,9 +123,6 @@ func TestFreedomAppRequiresRoot(t *testing.T) {
 	}
 	if !d.SystemStore().Contains(extraCert(t, "CRAZY HOUSE")) {
 		t.Error("Freedom should have installed CRAZY HOUSE into the system store")
-	}
-	if len(d.Apps()) != 1 || d.Apps()[0].Name != "Freedom" {
-		t.Error("app not registered")
 	}
 }
 
@@ -166,22 +139,6 @@ func TestAppRemovingRoots(t *testing.T) {
 	}
 }
 
-func TestVPNAppNeedsNoRoot(t *testing.T) {
-	d := newTestDevice(t, nil)
-	proxyApp := App{
-		Name:            "ConsumerInput Mobile",
-		Permissions:     []string{"CHANGE_NETWORK_STATE", "BIND_VPN_SERVICE"},
-		VPNInterception: true,
-	}
-	if err := d.Install(proxyApp); err != nil {
-		t.Fatalf("VPN app should install without root: %v", err)
-	}
-	before := d.SystemStore().Len()
-	if d.SystemStore().Len() != before {
-		t.Error("VPN interception app must not modify the store")
-	}
-}
-
 func TestEffectiveStoreUnion(t *testing.T) {
 	adds := []*x509.Certificate{extraCert(t, "DoD CLASS 3 Root CA")}
 	d := newTestDevice(t, adds)
@@ -191,54 +148,11 @@ func TestEffectiveStoreUnion(t *testing.T) {
 	if eff.Len() != want {
 		t.Errorf("effective = %d, want %d", eff.Len(), want)
 	}
-	// Disabling one system and one user cert shrinks it by two.
-	d.DisableCert(certid.IdentityOf(adds[0]))
-	d.DisableCert(certid.IdentityOf(extraCert(t, "USER_X")))
-	if got := d.EffectiveStore().Len(); got != want-2 {
-		t.Errorf("effective after disable = %d, want %d", got, want-2)
-	}
 }
 
 func TestDeviceProfile(t *testing.T) {
 	d := newTestDevice(t, nil)
 	if d.Manufacturer != "ASUS" || d.Model != "Nexus 7" || d.Version != "4.4" {
 		t.Errorf("profile = %+v", d.Profile)
-	}
-}
-
-func TestAppCatalog(t *testing.T) {
-	crazy := extraCert(t, "CRAZY HOUSE")
-	freedom := FreedomApp(crazy)
-	if !freedom.RequiresRoot || len(freedom.InstallRoots) != 1 {
-		t.Errorf("Freedom app = %+v", freedom)
-	}
-	if over := PermissionAudit(freedom); len(over) == 0 {
-		t.Error("Freedom should trip the permission audit")
-	}
-	apps := MarketingResearchApps()
-	if len(apps) != 4 {
-		t.Fatalf("marketing apps = %d, want 4 (§7)", len(apps))
-	}
-	for _, a := range apps {
-		if a.RequiresRoot {
-			t.Errorf("%s must not require root (§7: no store modification)", a.Name)
-		}
-		if !a.VPNInterception {
-			t.Errorf("%s should be a VPN interception client", a.Name)
-		}
-		over := PermissionAudit(a)
-		if len(over) < 3 {
-			t.Errorf("%s overreaching permissions = %v, want several", a.Name, over)
-		}
-	}
-	// Installing a marketing app on a stock device succeeds and leaves the
-	// store untouched.
-	d := newTestDevice(t, nil)
-	before := d.SystemStore().Len()
-	if err := d.Install(apps[0]); err != nil {
-		t.Fatal(err)
-	}
-	if d.SystemStore().Len() != before {
-		t.Error("marketing app modified the store")
 	}
 }

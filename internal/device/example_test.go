@@ -1,6 +1,7 @@
 package device_test
 
 import (
+	"crypto/x509"
 	"errors"
 	"fmt"
 
@@ -16,7 +17,11 @@ func ExampleDevice_Install() {
 		Model: "Galaxy SIII", Manufacturer: "SAMSUNG", Version: "4.1",
 	}, u.AOSP("4.1"), nil)
 
-	freedom := device.FreedomApp(u.Root("CRAZY HOUSE").Issued.Cert)
+	freedom := device.App{
+		Name:         "Freedom",
+		RequiresRoot: true,
+		InstallRoots: []*x509.Certificate{u.Root("CRAZY HOUSE").Issued.Cert},
+	}
 
 	err := d.Install(freedom)
 	fmt.Println("stock install blocked:", errors.Is(err, device.ErrNeedsRoot))

@@ -1,11 +1,6 @@
 package device
 
-import (
-	"crypto/x509"
-	"sort"
-
-	"tangledmass/internal/certid"
-)
+import "crypto/x509"
 
 // ValidationPolicy describes how one installed app validates TLS — the
 // app-level failure modes the Okara and "Danger is My Middle Name" studies
@@ -30,19 +25,12 @@ type ValidationPolicy struct {
 	BypassPins bool
 }
 
-// Strict reports whether the policy performs every check — the platform
-// default behaviour.
-func (p ValidationPolicy) Strict() bool {
-	return !p.AcceptAll && !p.SkipHostname && !p.BypassPins
-}
-
 // Channel identifies how a certificate entered a device's trust set.
 type Channel int
 
 const (
 	// ChannelFirmware covers roots present since firmware build: the AOSP
-	// base plus manufacturer/operator additions. Not recorded per
-	// certificate — absence of a record means firmware.
+	// base plus manufacturer/operator additions.
 	ChannelFirmware Channel = iota
 	// ChannelUser covers certificates added to the user store through
 	// system settings or a CA-installing app (§2: any user may).
@@ -98,7 +86,9 @@ const SystemInstallMinAPI = 19
 // would, choosing the channel by API level and root state: at or above
 // SystemInstallMinAPI a rooted device takes the silent system-store path;
 // everything else lands in the (pre-warning silent, post-warning warned)
-// user store. The chosen channel is returned and recorded.
+// user store. The chosen channel is returned;
+// population.Handset.TamperChannel derives a handset's channel from its
+// serialized state.
 func (d *Device) InstallCA(cert *x509.Certificate) Channel {
 	if APILevel(d.Version) >= SystemInstallMinAPI && d.rooted {
 		// AddSystemCert cannot fail on a rooted device.
@@ -107,36 +97,6 @@ func (d *Device) InstallCA(cert *x509.Certificate) Channel {
 	}
 	d.AddUserCert(cert)
 	return ChannelUser
-}
-
-// InstallChannel reports how the identified certificate entered the trust
-// set. Certificates never recorded (the firmware composition) report
-// ChannelFirmware.
-func (d *Device) InstallChannel(id certid.Identity) Channel {
-	return d.channels[id]
-}
-
-// ChannelInstalled returns the identities added after firmware build,
-// sorted by subject then key, with their channels — the store-tampering
-// surface a MITM can exploit.
-func (d *Device) ChannelInstalled() []ChannelRecord {
-	out := make([]ChannelRecord, 0, len(d.channels))
-	for id, ch := range d.channels {
-		out = append(out, ChannelRecord{Identity: id, Channel: ch})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Identity.Subject != out[j].Identity.Subject {
-			return out[i].Identity.Subject < out[j].Identity.Subject
-		}
-		return out[i].Identity.Key < out[j].Identity.Key
-	})
-	return out
-}
-
-// ChannelRecord pairs a post-firmware certificate with its install channel.
-type ChannelRecord struct {
-	Identity certid.Identity
-	Channel  Channel
 }
 
 // AddPolicy records an installed app's validation policy. The device

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tangledmass/internal/cauniverse"
-	"tangledmass/internal/corpus"
 )
 
 func newVersionedDevice(t *testing.T, version string, rooted bool) *Device {
@@ -46,35 +45,6 @@ func TestInstallCAAPIGate(t *testing.T) {
 		if got == ChannelUser && !d.UserStore().Contains(crazy) {
 			t.Errorf("%s: user-channel install missing from user store", tc.version)
 		}
-		if ch := d.InstallChannel(corpus.IdentityOf(crazy)); ch != tc.want {
-			t.Errorf("%s: recorded channel = %v, want %v", tc.version, ch, tc.want)
-		}
-	}
-}
-
-func TestChannelInstalledSortedAndFirmwareSilent(t *testing.T) {
-	d := newVersionedDevice(t, "4.4", true)
-	if len(d.ChannelInstalled()) != 0 {
-		t.Fatal("firmware composition must not appear as channel installs")
-	}
-	a := extraCert(t, "CRAZY HOUSE")
-	b := extraCert(t, "MIND OVERFLOW")
-	d.InstallCA(a)
-	d.AddUserCert(b)
-	recs := d.ChannelInstalled()
-	if len(recs) != 2 {
-		t.Fatalf("%d channel records, want 2", len(recs))
-	}
-	for i := 1; i < len(recs); i++ {
-		prev, cur := recs[i-1].Identity, recs[i].Identity
-		if prev.Subject > cur.Subject || (prev.Subject == cur.Subject && prev.Key > cur.Key) {
-			t.Error("ChannelInstalled not sorted by subject then key")
-		}
-	}
-	// A firmware root reports ChannelFirmware by absence.
-	fw := d.SystemStore().Certificates()[0]
-	if fw != a && d.InstallChannel(corpus.IdentityOf(fw)) != ChannelFirmware {
-		t.Error("unrecorded certificate should report ChannelFirmware")
 	}
 }
 
@@ -111,21 +81,6 @@ func TestPoliciesCopyAndOrder(t *testing.T) {
 	got[0].AcceptAll = true
 	if d.Policies()[0].AcceptAll {
 		t.Error("Policies() returned the internal slice, not a copy")
-	}
-}
-
-func TestStrict(t *testing.T) {
-	if !(ValidationPolicy{App: "platform-default"}).Strict() {
-		t.Error("zero flags should be strict")
-	}
-	for _, p := range []ValidationPolicy{
-		{AcceptAll: true},
-		{SkipHostname: true},
-		{BypassPins: true},
-	} {
-		if p.Strict() {
-			t.Errorf("%+v should not be strict", p)
-		}
 	}
 }
 

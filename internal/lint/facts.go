@@ -29,7 +29,6 @@ import (
 // Facts is the cross-package fact store of one Run.
 type Facts struct {
 	facts map[factKey]any
-	decls map[*types.Func]*ast.FuncDecl
 }
 
 type factKey struct {
@@ -38,28 +37,7 @@ type factKey struct {
 }
 
 func newFacts() *Facts {
-	return &Facts{
-		facts: make(map[factKey]any),
-		decls: make(map[*types.Func]*ast.FuncDecl),
-	}
-}
-
-// indexDecls records the package's function declarations so facts rules can
-// resolve a callee (possibly from another package of the module) back to
-// its body-independent fact, and so the current package's export pass can
-// walk its own declarations.
-func (f *Facts) indexDecls(pkg *Package) {
-	for _, file := range pkg.Files {
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Name == nil {
-				continue
-			}
-			if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-				f.decls[fn] = fd
-			}
-		}
-	}
+	return &Facts{facts: make(map[factKey]any)}
 }
 
 // ExportFact attaches this rule's fact to obj. Only legal during the export
@@ -109,12 +87,6 @@ func (p *Pass) ModuleFunc(fn *types.Func) bool {
 	}
 	path := fn.Pkg().Path()
 	return path == p.Module.Path || strings.HasPrefix(path, p.Module.Path+"/")
-}
-
-// FuncDecl returns the declaration of fn when it was loaded from this
-// module, or nil.
-func (p *Pass) FuncDecl(fn *types.Func) *ast.FuncDecl {
-	return p.Module.Facts.decls[fn]
 }
 
 // declFunc pairs a function object with its declaration.

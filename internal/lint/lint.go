@@ -213,7 +213,6 @@ func Run(m *Module, analyzers []*Analyzer, opts ...RunOption) []Finding {
 	m.Facts = newFacts()
 	var discard []Finding
 	for _, pkg := range m.Packages {
-		m.Facts.indexDecls(pkg)
 		for _, a := range analyzers {
 			if a.Export == nil {
 				continue

@@ -243,6 +243,3 @@ func (p *Proxy) forgedLeaf(host string) (*tls.Certificate, error) {
 	p.obs.Counter(KeyLeavesForged).Inc()
 	return cert, nil
 }
-
-// Intermediate exposes the proxy's on-the-fly intermediate certificate.
-func (p *Proxy) Intermediate() *certgen.Issued { return p.intermediate }

@@ -293,22 +293,3 @@ func (r *Report) MisvalidatedProbes() []ProbeResult {
 	}
 	return out
 }
-
-// ChainRootSubjects summarizes the distinct root subjects presented across
-// all probes — a quick fingerprint of who is signing this session's TLS.
-func (r *Report) ChainRootSubjects() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range r.Probes {
-		if len(p.Chain) == 0 {
-			continue
-		}
-		top := p.Chain[len(p.Chain)-1]
-		s := top.Issuer.String()
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}

@@ -81,9 +81,6 @@ func TestRunDirectSession(t *testing.T) {
 	if n := len(rep.UntrustedProbes()); n != 0 {
 		t.Errorf("untrusted probes = %d, want 0 on a clean network", n)
 	}
-	if len(rep.ChainRootSubjects()) == 0 {
-		t.Error("no root subjects summarized")
-	}
 	snap := o.Snapshot()
 	want := int64(len(tlsnet.ProbeTargets()))
 	if got := snap.Counters[KeyProbesTotal]; got != want {

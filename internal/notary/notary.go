@@ -127,9 +127,6 @@ func (n *Notary) CacheStats() chain.CacheStats { return n.cache.Stats() }
 // At returns the Notary's reference time.
 func (n *Notary) At() time.Time { return n.at }
 
-// Corpus returns the intern table the database's refs resolve against.
-func (n *Notary) Corpus() *corpus.Corpus { return n.c }
-
 // Observe records one live-traffic chain.
 func (n *Notary) Observe(o Observation) {
 	refs := n.c.InternChain(o.Chain)

@@ -7,30 +7,11 @@ import (
 	"time"
 )
 
-// Handler returns an expvar-style debug handler that serves the observer's
-// current Snapshot as indented JSON. The daemons mount it on their -debug
-// listener; `make metrics-smoke` scrapes it as a liveness gate. A nil
-// Observer serves the empty snapshot.
-func Handler(o *Observer) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := o.Snapshot().JSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		// The client is a scraper; a failed write is its problem to retry.
-		_, _ = w.Write(body)
-	})
-}
-
-// HandlerFunc is Handler for composite snapshot sources — anything that
-// assembles its snapshot from several observers, like the sharded notary
-// cluster merging router and per-shard metrics. fn is called per request.
+// HandlerFunc returns an expvar-style debug handler that serves fn's
+// snapshot as indented JSON, calling fn per request. fn is an Observer's
+// Snapshot method or a composite source, like the sharded notary cluster
+// merging router and per-shard metrics. The daemons mount it on their
+// -debug listener; `make metrics-smoke` scrapes it as a liveness gate.
 func HandlerFunc(fn func() Snapshot) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
@@ -43,12 +24,13 @@ func HandlerFunc(fn func() Snapshot) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		// The client is a scraper; a failed write is its problem to retry.
 		_, _ = w.Write(body)
 	})
 }
 
 // ServeDebug starts the debug endpoint on addr in a background goroutine,
-// mounting Handler at /debug/vars (and at / for curl convenience). It
+// mounting HandlerFunc at /debug/vars (and at / for curl convenience). It
 // returns the bound listener — callers print its address and close it on
 // shutdown. The server dies with the listener; scrape errors are the
 // scraper's problem.

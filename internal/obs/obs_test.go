@@ -216,7 +216,7 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 func TestHandler(t *testing.T) {
 	o := New()
 	o.Counter("test.requests.total").Add(9)
-	srv := httptest.NewServer(Handler(o))
+	srv := httptest.NewServer(HandlerFunc(o.Snapshot))
 	defer srv.Close()
 	cl := &http.Client{Timeout: 5 * time.Second}
 	resp, err := cl.Get(srv.URL)

@@ -96,7 +96,7 @@ func TestSessionPoliciesFallBackToPlatformDefault(t *testing.T) {
 	h := &Handset{Device: device.New(device.Profile{Model: "Bare", Version: "4.4"},
 		paperPopulation(t).Universe.AOSP("4.4"), nil)}
 	pols := sessionPolicies(h)
-	if len(pols) != 1 || pols[0].App != "platform-default" || !pols[0].Strict() {
+	if len(pols) != 1 || pols[0] != (device.ValidationPolicy{App: "platform-default"}) {
 		t.Errorf("policy-free fallback = %+v, want one strict platform-default", pols)
 	}
 }

@@ -153,9 +153,7 @@ func Generate(cfg Config) (*Population, error) {
 	}
 
 	p.placeRootedExclusives(u, src)
-	if err := p.placeInterception(src); err != nil {
-		return nil, err
-	}
+	p.placeInterception()
 	p.rebalanceSessions(quotaTargets)
 	p.assignAppProfiles(cfg.Seed)
 	p.finalizeHandsets(u)
@@ -311,7 +309,6 @@ func (p *Population) placeRootedExclusives(u *cauniverse.Universe, src *stats.So
 	freedom := device.App{
 		Name:         "Freedom",
 		RequiresRoot: true,
-		Permissions:  []string{"ACCESS_GOOGLE_ACCOUNTS", "READ_PHONE_STATE", "WRITE_SETTINGS"},
 		InstallRoots: []*x509.Certificate{u.Root("CRAZY HOUSE").Issued.Cert},
 	}
 	// Deterministic selection: walk the rooted list with a stride so the
@@ -361,22 +358,14 @@ func (p *Population) placeRootedExclusives(u *cauniverse.Universe, src *stats.So
 
 // placeInterception marks one 4.4 Nexus 7 handset as sitting behind the
 // marketing-research HTTPS proxy (§7). The proxy needs no root-store change.
-func (p *Population) placeInterception(src *stats.Source) error {
+func (p *Population) placeInterception() {
 	for _, h := range p.Handsets {
 		if h.Model == "Nexus 7" && h.Version == "4.4" && !h.Rooted {
 			h.Intercepted = true
 			h.SessionCount = 1
-			if err := h.Device.Install(device.App{
-				Name:            "ConsumerInput Mobile",
-				Permissions:     []string{"CHANGE_NETWORK_STATE", "BIND_VPN_SERVICE", "READ_CONTACTS", "READ_CALENDAR", "ACCESS_FINE_LOCATION", "READ_SMS", "READ_LOGS"},
-				VPNInterception: true,
-			}); err != nil {
-				return fmt.Errorf("population: placing interception app: %w", err)
-			}
-			return nil
+			return
 		}
 	}
-	return nil
 }
 
 // finalizeHandsets captures each handset's effective store and the Figure 1

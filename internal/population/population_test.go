@@ -196,9 +196,22 @@ func TestSingleInterceptedSession(t *testing.T) {
 	if h.ExtraCount != 0 {
 		t.Error("the §7 proxy needs no root-store modification")
 	}
-	apps := h.Device.Apps()
-	if len(apps) == 0 || !apps[0].VPNInterception {
-		t.Error("intercepted handset should carry the VPN interception app")
+}
+
+func TestSessionsSpanCollectionWindow(t *testing.T) {
+	p := paperPopulation(t)
+	months := map[string]int{}
+	for _, s := range p.Sessions {
+		months[s.At.Format("2006-01")]++
+	}
+	for _, m := range []string{"2013-11", "2013-12", "2014-01", "2014-02", "2014-03", "2014-04"} {
+		if months[m] == 0 {
+			t.Errorf("no sessions in %s", m)
+		}
+		delete(months, m)
+	}
+	if len(months) != 0 {
+		t.Errorf("sessions outside Nov 2013 – Apr 2014 (§4.1): %v", months)
 	}
 }
 

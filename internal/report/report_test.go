@@ -33,6 +33,18 @@ func TestTable2Rendering(t *testing.T) {
 	}
 }
 
+func TestTable3Rendering(t *testing.T) {
+	out := Table3([]analysis.CategoryValidation{
+		{Name: "Mozilla", Validated: 1200},
+		{Name: "AOSP 4.4", Validated: 1185},
+	})
+	for _, want := range []string{"No. validated certificates", "Mozilla", "1200", "AOSP 4.4", "1185"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Table3 missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestTable4Rendering(t *testing.T) {
 	out := Table4([]analysis.CategoryValidation{
 		{Name: "AOSP 4.4 certs", TotalRoots: 150, ZeroFraction: 0.23},
@@ -84,6 +96,27 @@ func TestFigure2RenderingCapsRows(t *testing.T) {
 	}
 	if strings.Contains(out, "00000003") {
 		t.Errorf("Figure2 should cap rows per group:\n%s", out)
+	}
+}
+
+func TestClassSharesLegendOrder(t *testing.T) {
+	shares := map[analysis.Fig2Class]float64{
+		analysis.ClassNotRecorded:    0.45,
+		analysis.ClassOnlyAndroid:    0.261,
+		analysis.ClassIOS7Only:       0.144,
+		analysis.ClassMozillaAndIOS7: 0.063,
+	}
+	want := "  Mozilla, and iOS7              6.3%\n" +
+		"  iOS7                           14.4%\n" +
+		"  Mozilla                        0.0%\n" +
+		"  Only Android                   26.1%\n" +
+		"  Not recorded by ICSI Notary    45.0%\n"
+	// Map iteration order varies between ranges, so repeated renders would
+	// catch a renderer that walks the map.
+	for i := 0; i < 20; i++ {
+		if got := ClassShares(shares); got != want {
+			t.Fatalf("render %d:\n%s\nwant legend order:\n%s", i, got, want)
+		}
 	}
 }
 

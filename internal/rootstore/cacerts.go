@@ -121,23 +121,3 @@ func ParsePEMCertificates(data []byte) ([]*x509.Certificate, error) {
 	}
 	return corpus.Shared().Certs(refs), nil
 }
-
-// EncodePEM renders the store as a concatenated PEM bundle.
-func (s *Store) EncodePEM() []byte {
-	var out []byte
-	for _, cert := range s.Certificates() {
-		out = append(out, pem.EncodeToMemory(&pem.Block{Type: pemCertType, Bytes: cert.Raw})...)
-	}
-	return out
-}
-
-// LoadPEM parses a PEM bundle into a new store with the given name.
-func LoadPEM(name string, data []byte) (*Store, error) {
-	certs, err := ParsePEMCertificates(data)
-	if err != nil {
-		return nil, err
-	}
-	s := New(name)
-	s.AddAll(certs)
-	return s, nil
-}

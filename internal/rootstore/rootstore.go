@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strconv"
 
 	"tangledmass/internal/certid"
@@ -357,17 +356,6 @@ func Equal(a, b *Store) bool {
 		}
 	}
 	return true
-}
-
-// SortedSubjects returns the subject strings of the store sorted
-// lexicographically — convenient for deterministic reporting.
-func (s *Store) SortedSubjects() []string {
-	out := make([]string, 0, len(s.order))
-	for _, ref := range s.order {
-		out = append(out, s.c.Identity(ref).Subject)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // IdentitySet is a set of certificate identities gathered from stores,

@@ -73,8 +73,7 @@ type Site struct {
 
 // Sites is the directory of named services.
 type Sites struct {
-	byKey map[string]*Site
-	list  []*Site
+	list []*Site
 }
 
 // NewSites issues a legitimate certificate chain for every probe target,
@@ -84,7 +83,7 @@ func NewSites(w *World) (*Sites, error) {
 	u := w.Universe()
 	gen := u.Generator()
 	issuing := u.IssuingRoots()
-	s := &Sites{byKey: make(map[string]*Site)}
+	s := &Sites{}
 	for i, hp := range ProbeTargets() {
 		root := issuing[i%12] // the dozen most popular roots
 		signer := root.Issued
@@ -104,16 +103,9 @@ func NewSites(w *World) (*Sites, error) {
 		for _, c := range chain[:len(chain)-1] { // serve leaf + intermediates, not the root
 			cred.Certificate = append(cred.Certificate, c.Raw)
 		}
-		site := &Site{HostPort: hp, Chain: chain, Credential: cred, Root: root.Name}
-		s.byKey[hp.String()] = site
-		s.list = append(s.list, site)
+		s.list = append(s.list, &Site{HostPort: hp, Chain: chain, Credential: cred, Root: root.Name})
 	}
 	return s, nil
-}
-
-// Lookup returns the site for host:port, or nil.
-func (s *Sites) Lookup(host string, port int) *Site {
-	return s.byKey[HostPort{host, port}.String()]
 }
 
 // LookupHost returns the first site with the given host on any port, or nil.

@@ -156,12 +156,6 @@ func TestSitesIssueValidChains(t *testing.T) {
 			t.Errorf("site %s leaf CN = %s", site.Host, site.Chain[0].Subject.CommonName)
 		}
 	}
-	if sites.Lookup("gmail.com", 443) == nil {
-		t.Error("Lookup(gmail.com:443) failed")
-	}
-	if sites.Lookup("gmail.com", 80) != nil {
-		t.Error("Lookup on wrong port should be nil")
-	}
 	if sites.LookupHost("supl.google.com") == nil {
 		t.Error("LookupHost(supl.google.com) failed")
 	}

@@ -207,17 +207,7 @@ func (w *World) Leaves() []Leaf { return w.leaves }
 // Universe returns the CA universe behind the world.
 func (w *World) Universe() *cauniverse.Universe { return w.universe }
 
-// InternetOnlyRoots returns the store-less private CAs.
-func (w *World) InternetOnlyRoots() []*certgen.Issued {
-	out := make([]*certgen.Issued, len(w.internetRoots))
-	copy(out, w.internetRoots)
-	return out
-}
-
 // Intermediate returns the G1 intermediate for a popular root, or nil.
 func (w *World) Intermediate(rootName string) *certgen.Issued {
 	return w.intermediates[rootName]
 }
-
-// Epoch returns the world's observation reference time.
-func (w *World) Epoch() time.Time { return certgen.Epoch }

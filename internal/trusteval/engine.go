@@ -99,9 +99,6 @@ func New(at time.Time, opts ...Option) *Engine {
 	return e
 }
 
-// At returns the reference instant used for validity checks.
-func (e *Engine) At() time.Time { return e.at }
-
 // internChain interns the presented intermediates into the store's corpus
 // and returns (leaf ref, intermediate refs).
 func internChain(s *rootstore.Store, presented []*x509.Certificate) (corpus.Ref, []corpus.Ref) {
