@@ -30,7 +30,6 @@ func main() {
 
 	freedom := device.App{
 		Name:         "Freedom",
-		RequiresRoot: true,
 		InstallRoots: []*x509.Certificate{u.Root("CRAZY HOUSE").Issued.Cert},
 	}
 

@@ -20,6 +20,15 @@ const (
 	ClassNotRecorded    Fig2Class = "Not recorded by ICSI Notary"
 )
 
+// Fig2Legend lists every Fig2Class in Figure 2's legend order.
+var Fig2Legend = [...]Fig2Class{
+	ClassMozillaAndIOS7,
+	ClassIOS7Only,
+	ClassMozillaOnly,
+	ClassOnlyAndroid,
+	ClassNotRecorded,
+}
+
 // presenceClass classifies one certificate against the universe's Mozilla
 // and iOS7 stores and the Notary's records, as Figure 2's legend does.
 func presenceClass(cert *x509.Certificate, u *cauniverse.Universe, n *notary.Notary) Fig2Class {

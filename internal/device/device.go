@@ -19,8 +19,8 @@ import (
 // (§2).
 var ErrReadOnlyStore = errors.New("device: system root store is read-only (device not rooted)")
 
-// ErrNeedsRoot is returned when an app requiring root permissions is
-// installed on a non-rooted device.
+// ErrNeedsRoot is returned when an app is installed on a non-rooted device:
+// every app the model keeps writes the system store.
 var ErrNeedsRoot = errors.New("device: app requires root permissions")
 
 // Profile describes a handset's static identity.
@@ -133,8 +133,7 @@ func (d *Device) EffectiveStore() *rootstore.Store {
 // paper's running example is the Freedom app: it requires root and
 // silently installs the "CRAZY HOUSE" root (§6).
 type App struct {
-	Name         string
-	RequiresRoot bool
+	Name string
 	// InstallRoots are certificates the app adds to the system store on
 	// installation (possible only with root).
 	InstallRoots []*x509.Certificate
@@ -142,11 +141,10 @@ type App struct {
 	RemoveRoots []certid.Identity
 }
 
-// Install installs the app, applying its store side effects. An app with
-// root requirements fails on a non-rooted device with ErrNeedsRoot; nothing
-// is applied in that case.
+// Install installs the app, applying its store side effects. On a
+// non-rooted device it fails with ErrNeedsRoot and applies nothing.
 func (d *Device) Install(app App) error {
-	if app.RequiresRoot && !d.rooted {
+	if !d.rooted {
 		return fmt.Errorf("installing %q: %w", app.Name, ErrNeedsRoot)
 	}
 	for _, c := range app.InstallRoots {

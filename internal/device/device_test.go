@@ -107,7 +107,6 @@ func TestFreedomAppRequiresRoot(t *testing.T) {
 	d := newTestDevice(t, nil)
 	freedom := App{
 		Name:         "Freedom",
-		RequiresRoot: true,
 		InstallRoots: []*x509.Certificate{extraCert(t, "CRAZY HOUSE")},
 	}
 	if err := d.Install(freedom); !errors.Is(err, ErrNeedsRoot) {
@@ -128,9 +127,13 @@ func TestFreedomAppRequiresRoot(t *testing.T) {
 
 func TestAppRemovingRoots(t *testing.T) {
 	d := newTestDevice(t, nil)
-	d.Root()
 	victim := certid.IdentityOf(d.SystemStore().Certificates()[0])
-	evil := App{Name: "StorePruner", RequiresRoot: true, RemoveRoots: []certid.Identity{victim}}
+	evil := App{Name: "StorePruner", RemoveRoots: []certid.Identity{victim}}
+	if err := d.Install(evil); !errors.Is(err, ErrNeedsRoot) || !d.SystemStore().ContainsIdentity(victim) {
+		t.Fatalf("install on non-rooted = %v, want ErrNeedsRoot and the root kept", err)
+	}
+
+	d.Root()
 	if err := d.Install(evil); err != nil {
 		t.Fatal(err)
 	}

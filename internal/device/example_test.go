@@ -19,7 +19,6 @@ func ExampleDevice_Install() {
 
 	freedom := device.App{
 		Name:         "Freedom",
-		RequiresRoot: true,
 		InstallRoots: []*x509.Certificate{u.Root("CRAZY HOUSE").Issued.Cert},
 	}
 

@@ -308,7 +308,6 @@ func (p *Population) placeRootedExclusives(u *cauniverse.Universe, src *stats.So
 	}
 	freedom := device.App{
 		Name:         "Freedom",
-		RequiresRoot: true,
 		InstallRoots: []*x509.Certificate{u.Root("CRAZY HOUSE").Issued.Cert},
 	}
 	// Deterministic selection: walk the rooted list with a stride so the

@@ -170,22 +170,12 @@ func Figure2(cells []analysis.AttributionCell, maxPerGroup int) string {
 	})
 }
 
-// fig2Legend is Figure 2's legend order, the order the analysis.Fig2Class
-// constants are declared in.
-var fig2Legend = [...]analysis.Fig2Class{
-	analysis.ClassMozillaAndIOS7,
-	analysis.ClassIOS7Only,
-	analysis.ClassMozillaOnly,
-	analysis.ClassOnlyAndroid,
-	analysis.ClassNotRecorded,
-}
-
 // ClassShares renders Figure 2's presence-class shares as percentages, one
 // line per class in legend order (absent classes read 0.0%), so the text is
 // the same on every run.
 func ClassShares(shares map[analysis.Fig2Class]float64) string {
 	var b strings.Builder
-	for _, cl := range fig2Legend {
+	for _, cl := range analysis.Fig2Legend {
 		b.WriteString(fmt.Sprintf("  %-30s %.1f%%\n", cl, shares[cl]*100))
 	}
 	return b.String()
