@@ -8,7 +8,7 @@ GO ?= go
 # a different file with `make bench-gate BENCH_BASELINE=BENCH_prX.json`.
 BENCH_BASELINE ?= BENCH_pr10.json
 
-.PHONY: build test lint lint-baseline vet chaos crash metrics-smoke dataset-smoke bench bench-gate slo-gate verify ci loc
+.PHONY: build test lint vet chaos crash metrics-smoke dataset-smoke bench bench-gate slo-gate verify ci loc
 
 build:
 	$(GO) build ./...
@@ -17,14 +17,7 @@ vet:
 	$(GO) vet ./...
 
 lint:
-	$(GO) run ./cmd/tangledlint -baseline lint-baseline.txt ./...
-
-# Regenerate the incremental-adoption baseline. The committed file is kept
-# empty (header only): new-rule findings are fixed or suppressed inline
-# with a reasoned //lint:ignore, and the baseline exists for the window
-# where a new rule lands before its findings are worked off.
-lint-baseline:
-	$(GO) run ./cmd/tangledlint -write-baseline lint-baseline.txt ./...
+	$(GO) run ./cmd/tangledlint ./...
 
 test:
 	$(GO) test -race ./...

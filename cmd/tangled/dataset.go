@@ -8,15 +8,15 @@ import (
 	"tangledmass/internal/dataset"
 )
 
-// datasetFormat parses a -format flag value.
+// datasetFormat parses the -format flag of a command that writes a dataset.
+// Auto is refused: a writer given it writes JSONL, so the command would
+// report a format it did not choose.
 func datasetFormat(s string) (dataset.Format, error) {
 	switch s {
 	case "jsonl":
 		return dataset.JSONL, nil
 	case "columnar":
 		return dataset.Columnar, nil
-	case "auto", "":
-		return dataset.Auto, nil
 	}
 	return dataset.Auto, fmt.Errorf("unknown dataset format %q (want jsonl or columnar)", s)
 }

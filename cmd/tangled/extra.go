@@ -108,11 +108,12 @@ func cmdFleet(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	f, err := datasetFormat(*format)
+	if err != nil {
+		return err
+	}
 	ctx := context.Background()
-	var (
-		pop *population.Population
-		err error
-	)
+	var pop *population.Population
 	if *load != "" {
 		pop, err = dataset.NewReader(*load).Read(ctx)
 	} else {
@@ -128,10 +129,6 @@ func cmdFleet(args []string) error {
 	fmt.Println()
 	fmt.Print(report.Table5(analysis.Table5(pop)))
 	if *export != "" {
-		f, err := datasetFormat(*format)
-		if err != nil {
-			return err
-		}
 		if err := dataset.NewWriter(*export, dataset.WithFormat(f)).Write(ctx, pop); err != nil {
 			return err
 		}

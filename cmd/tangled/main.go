@@ -1,6 +1,7 @@
 // Command tangled is the root-store audit CLI: inspect, diff, export, and
 // audit Android-format root certificate stores against the reference
-// universes (AOSP 4.1–4.4, Mozilla, iOS7).
+// universes (AOSP 4.1–4.4, Mozilla, iOS7), and run the fleet, dataset,
+// campaign and notary tools built on them.
 //
 // Usage:
 //
@@ -9,7 +10,15 @@
 //	tangled export <store> <dir>
 //	tangled audit [-version 4.4] <cacerts-dir>
 //	tangled classify <cert-name>
+//	tangled minimize [-threshold N] [-sweep] <store>
+//	tangled surface <store>
+//	tangled fleet [-scale F] [-load DIR] [-export DIR [-format jsonl|columnar]]
+//	tangled dataset convert [-format jsonl|columnar] <src-dir> <dst-dir>
+//	tangled dataset inspect|verify <dir>
+//	tangled show [-pem] <cert-name>
 //	tangled campaign [-scale 0.02] [-seed 1] [-frozen-clock]
+//	tangled fsck <data-dir>
+//	tangled loadgen [-shards N] [-sessions N] [-p99-ms MS]
 //
 // A <store> argument is either a built-in name (aosp4.1, aosp4.2, aosp4.3,
 // aosp4.4, mozilla, ios7, aggregated) or a path to an Android cacerts

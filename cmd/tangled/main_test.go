@@ -116,6 +116,24 @@ func TestCmdFleetExportLoad(t *testing.T) {
 	}
 }
 
+// TestCmdWriteFormatAutoRefused pins that both commands that write a
+// dataset refuse -format auto, which a writer would write as JSONL.
+func TestCmdWriteFormatAutoRefused(t *testing.T) {
+	dir := t.TempDir()
+	for name, run := range map[string]func() error{
+		"dataset convert": func() error {
+			return cmdDataset([]string{"convert", "-format", "auto", filepath.Join(dir, "src"), filepath.Join(dir, "dst")})
+		},
+		"fleet -export": func() error {
+			return cmdFleet([]string{"-scale", "0.01", "-export", filepath.Join(dir, "fleet"), "-format", "auto"})
+		},
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "want jsonl or columnar") {
+			t.Errorf("%s -format auto: err = %v, want the format error", name, err)
+		}
+	}
+}
+
 func TestCmdMinimizeSweep(t *testing.T) {
 	out := capture(t, func() error {
 		return cmdMinimize([]string{"-leaves", "800", "-sweep", "aosp4.1"})

@@ -20,12 +20,6 @@
 //	                    worker counts (CI problem matchers key off it)
 //	-workers N          lint worker count (default GOMAXPROCS); output is
 //	                    byte-identical at any value
-//	-baseline FILE      suppress findings listed in FILE (text format, one
-//	                    finding per line; # comments and blanks ignored) —
-//	                    the incremental-adoption mechanism for new rules
-//	-write-baseline FILE
-//	                    write the current findings to FILE as a baseline
-//	                    and exit 0
 package main
 
 import (
@@ -37,7 +31,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"tangledmass/internal/lint"
 )
@@ -61,9 +54,7 @@ func run(args []string, out io.Writer) (int, error) {
 	fs.SetOutput(io.Discard)
 	format := fs.String("format", "text", "output format: text or json")
 	workers := fs.Int("workers", 0, "lint worker count (<1 means GOMAXPROCS)")
-	baselinePath := fs.String("baseline", "", "baseline file of findings to suppress")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit clean")
-	usage := fmt.Errorf("usage: tangledlint [-format text|json] [-workers N] [-baseline FILE] [-write-baseline FILE] [./... | <module-dir>]")
+	usage := fmt.Errorf("usage: tangledlint [-format text|json] [-workers N] [./... | <module-dir>]")
 	if err := fs.Parse(args); err != nil {
 		return 0, usage
 	}
@@ -91,27 +82,6 @@ func run(args []string, out io.Writer) (int, error) {
 		return 0, err
 	}
 	findings := lint.Run(m, lint.Analyzers(), lint.WithWorkers(*workers))
-
-	if *baselinePath != "" {
-		known, err := readBaseline(*baselinePath)
-		if err != nil {
-			return 0, err
-		}
-		kept := findings[:0]
-		for _, f := range findings {
-			if !known[f.String()] {
-				kept = append(kept, f)
-			}
-		}
-		findings = kept
-	}
-
-	if *writeBaseline != "" {
-		if err := writeBaselineFile(*writeBaseline, findings); err != nil {
-			return 0, err
-		}
-		return 0, nil
-	}
 
 	w := bufio.NewWriter(out)
 	for _, f := range findings {
@@ -156,42 +126,6 @@ func writeJSON(w io.Writer, f lint.Finding) error {
 	}
 	_, err = fmt.Fprintf(w, "%s\n", data)
 	return err
-}
-
-// readBaseline loads a baseline file: one rendered finding per line, with
-// blank lines and # comments skipped.
-func readBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w", err)
-	}
-	known := make(map[string]bool)
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		known[line] = true
-	}
-	return known, nil
-}
-
-// writeBaselineFile persists the findings as a baseline. The header makes
-// the file self-describing; an empty findings list writes a header-only
-// baseline, the steady state the repo is held to.
-func writeBaselineFile(path string, findings []lint.Finding) error {
-	var b strings.Builder
-	b.WriteString("# tangledlint baseline: findings accepted for incremental adoption.\n")
-	b.WriteString("# Regenerate with `make lint-baseline`. Keep this empty: fix findings\n")
-	b.WriteString("# or suppress them inline with a reasoned //lint:ignore instead.\n")
-	for _, f := range findings {
-		b.WriteString(f.String())
-		b.WriteByte('\n')
-	}
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		return fmt.Errorf("writing baseline: %w", err)
-	}
-	return nil
 }
 
 // findModuleRoot walks up from dir to the nearest directory with a go.mod.

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -113,31 +112,6 @@ func TestJSONFormat(t *testing.T) {
 		if filepath.IsAbs(f.File) || strings.Contains(f.File, "\\") {
 			t.Errorf("file not relative slash path: %q", f.File)
 		}
-	}
-}
-
-// TestBaselineRoundTrip writes a baseline from the fixture's findings and
-// re-runs against it: every finding must be filtered, exit count zero —
-// the incremental-adoption path for a new rule.
-func TestBaselineRoundTrip(t *testing.T) {
-	baseline := filepath.Join(t.TempDir(), "baseline.txt")
-	if _, err := run([]string{"-write-baseline", baseline, fixtureDir()}, &strings.Builder{}); err != nil {
-		t.Fatalf("writing baseline: %v", err)
-	}
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatalf("reading baseline back: %v", err)
-	}
-	if !strings.Contains(string(data), "[detsink]") {
-		t.Fatal("baseline lacks the fixture's detsink findings")
-	}
-	var out strings.Builder
-	n, err := run([]string{"-baseline", baseline, fixtureDir()}, &out)
-	if err != nil {
-		t.Fatalf("run with baseline: %v", err)
-	}
-	if n != 0 {
-		t.Errorf("findings survived their own baseline:\n%s", out.String())
 	}
 }
 

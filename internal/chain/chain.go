@@ -506,11 +506,3 @@ func hostInDomain(host, domain string) bool {
 	suffix := "." + domain
 	return len(host) > len(suffix) && host[len(host)-len(suffix):] == suffix
 }
-
-// IsSelfSigned reports whether c is self-issued and self-signature-valid.
-func IsSelfSigned(c *x509.Certificate) bool {
-	if string(c.RawSubject) != string(c.RawIssuer) {
-		return false
-	}
-	return c.CheckSignatureFrom(c) == nil
-}

@@ -254,19 +254,6 @@ func TestNaiveMatchesIndexed(t *testing.T) {
 	}
 }
 
-func TestIsSelfSigned(t *testing.T) {
-	p := buildPKI(t)
-	if !IsSelfSigned(p.rootA.Cert) {
-		t.Error("root should be self-signed")
-	}
-	if IsSelfSigned(p.leafA.Cert) {
-		t.Error("leaf should not be self-signed")
-	}
-	if IsSelfSigned(p.interA.Cert) {
-		t.Error("intermediate should not be self-signed")
-	}
-}
-
 func TestVerifierAt(t *testing.T) {
 	v := NewVerifier(nil, nil, certgen.Epoch)
 	if !v.At().Equal(certgen.Epoch) {

@@ -53,7 +53,6 @@ import (
 	"sync/atomic"
 
 	"tangledmass/internal/certid"
-	"tangledmass/internal/obs"
 )
 
 // Ref is a dense handle to one interned certificate. The zero Ref is
@@ -192,10 +191,6 @@ type Corpus struct {
 	nHits      atomic.Int64
 	nBytes     atomic.Int64
 	nSigChecks atomic.Int64
-
-	interned *obs.Counter
-	hits     *obs.Counter
-	bytesC   *obs.Counter
 }
 
 // view is one published state of the tables: a prefix of the entry table,
@@ -207,25 +202,11 @@ type view struct {
 	slots   []atomic.Uint32
 }
 
-// Option configures a Corpus at construction.
-type Option func(*Corpus)
-
-// WithObserver attaches the corpus.* counters (interned certificates,
-// intern hits, interned DER bytes) to the given observer. Nil observers
-// no-op.
-func WithObserver(o *obs.Observer) Option {
-	return func(c *Corpus) {
-		c.interned = o.Counter(KeyInterned)
-		c.hits = o.Counter(KeyHits)
-		c.bytesC = o.Counter(KeyBytes)
-	}
-}
-
 // nextID hands out process-unique corpus identifiers.
 var nextID atomic.Uint64
 
 // New returns an empty corpus.
-func New(opts ...Option) *Corpus {
+func New() *Corpus {
 	c := &Corpus{
 		id:     nextID.Add(1),
 		byHash: make(map[Digest]Ref),
@@ -233,9 +214,6 @@ func New(opts ...Option) *Corpus {
 		sigs:   make(map[edge]bool),
 	}
 	c.publishLocked()
-	for _, opt := range opts {
-		opt(c)
-	}
 	return c
 }
 
@@ -256,7 +234,7 @@ func (c *Corpus) Intern(der []byte) (Ref, error) {
 	ref, ok := c.byHash[sum]
 	c.mu.RUnlock()
 	if ok {
-		c.hit()
+		c.nHits.Add(1)
 		return ref, nil
 	}
 	own := bytes.Clone(der)
@@ -273,7 +251,7 @@ func (c *Corpus) Intern(der []byte) (Ref, error) {
 // system), with the DER copied so the entry owns its encoding.
 func (c *Corpus) InternCert(cert *x509.Certificate) Ref {
 	if v, ok := c.byPtr.Load(cert); ok {
-		c.hit()
+		c.nHits.Add(1)
 		return v.(Ref)
 	}
 	sum := Digest(sha256.Sum256(cert.Raw))
@@ -281,7 +259,7 @@ func (c *Corpus) InternCert(cert *x509.Certificate) Ref {
 	ref, ok := c.byHash[sum]
 	c.mu.RUnlock()
 	if ok {
-		c.hit()
+		c.nHits.Add(1)
 	} else {
 		ref = c.insert(newEntry(sum, bytes.Clone(cert.Raw), cert))
 	}
@@ -318,10 +296,7 @@ func (c *Corpus) InternAll(ders [][]byte) ([]Ref, error) {
 		}
 	}
 	c.mu.RUnlock()
-	if hits := int64(len(ders) - len(miss)); hits > 0 {
-		c.nHits.Add(hits)
-		c.hits.Add(hits)
-	}
+	c.nHits.Add(int64(len(ders) - len(miss)))
 	if len(miss) == 0 {
 		return refs, nil
 	}
@@ -345,7 +320,7 @@ func (c *Corpus) InternAll(ders [][]byte) ([]Ref, error) {
 		if ref, ok := c.byHash[sums[i]]; ok {
 			// Inserted by a concurrent intern or an earlier batch duplicate.
 			refs[i] = ref
-			c.hit()
+			c.nHits.Add(1)
 			continue
 		}
 		refs[i] = c.appendLocked(fresh[k])
@@ -361,7 +336,7 @@ func (c *Corpus) insert(e *Entry) Ref {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if ref, ok := c.byHash[e.Digest]; ok {
-		c.hit()
+		c.nHits.Add(1)
 		return ref
 	}
 	ref := c.appendLocked(e)
@@ -391,8 +366,6 @@ func (c *Corpus) appendLocked(e *Entry) Ref {
 	}
 	c.nInterned.Add(1)
 	c.nBytes.Add(int64(len(e.DER)))
-	c.interned.Inc()
-	c.bytesC.Add(int64(len(e.DER)))
 	return e.Ref
 }
 
@@ -435,11 +408,6 @@ func (c *Corpus) publishLocked() {
 		firsts:  c.firsts[:len(c.firsts):len(c.firsts)],
 		slots:   c.slots,
 	})
-}
-
-func (c *Corpus) hit() {
-	c.nHits.Add(1)
-	c.hits.Inc()
 }
 
 // ID returns a process-unique identifier for this corpus. Refs are only
@@ -633,23 +601,4 @@ func CertOf(r Ref) *x509.Certificate { return shared.Cert(r) }
 // call is a map hit.
 func IdentityOf(cert *x509.Certificate) certid.Identity {
 	return shared.Identity(shared.InternCert(cert))
-}
-
-// SHA1Of returns cert's hex SHA-1 fingerprint through the shared corpus.
-func SHA1Of(cert *x509.Certificate) string {
-	return shared.SHA1(shared.InternCert(cert))
-}
-
-// SHA256Of returns cert's hex SHA-256 fingerprint through the shared corpus.
-func SHA256Of(cert *x509.Certificate) string {
-	if e := shared.Entry(shared.InternCert(cert)); e != nil {
-		return e.SHA256
-	}
-	return ""
-}
-
-// Equivalent reports whether two certificates are equivalent in the
-// paper's sense (same subject and key), answered from interned identities.
-func Equivalent(a, b *x509.Certificate) bool {
-	return IdentityOf(a) == IdentityOf(b)
 }

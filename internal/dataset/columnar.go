@@ -292,8 +292,7 @@ func writeColumnar(ctx context.Context, dir string, p *population.Population, cf
 		return fmt.Errorf("dataset: creating columnar file: %w", err)
 	}
 	defer f.Close()
-	cw := &countingWriter{w: f}
-	bw := bufio.NewWriterSize(cw, 1<<20)
+	bw := bufio.NewWriterSize(f, 1<<20)
 	if _, err := bw.Write(header); err != nil {
 		return fmt.Errorf("dataset: writing columnar header: %w", err)
 	}
@@ -308,7 +307,6 @@ func writeColumnar(ctx context.Context, dir string, p *population.Population, cf
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("dataset: closing columnar file: %w", err)
 	}
-	cfg.observer.Counter(KeyWriteBytes).Add(cw.n)
 	return nil
 }
 
@@ -320,7 +318,6 @@ type columnarDir struct {
 	size      int64
 	headerLen int64
 	sections  []SectionInfo
-	bytesRead int64
 }
 
 func openColumnar(dir string) (*columnarDir, error) {
@@ -396,7 +393,6 @@ func openColumnar(dir string) (*columnarDir, error) {
 		return fail(fmt.Errorf("dataset: %s: header checksum mismatch (corrupt file)", path))
 	}
 	cd.headerLen = int64(hdr.Len()) + 4
-	cd.bytesRead = cd.headerLen
 	for _, si := range cd.sections {
 		if si.Offset < cd.headerLen || si.Length < 0 || si.Offset+si.Length > cd.size {
 			return fail(fmt.Errorf("dataset: %s: section %q out of bounds (truncated?)", path, si.Name))
@@ -428,7 +424,6 @@ func (cd *columnarDir) read(name string) ([]byte, error) {
 		if _, err := cd.f.ReadAt(buf, si.Offset); err != nil {
 			return nil, fmt.Errorf("dataset: %s: reading %q section: %w", cd.path, name, err)
 		}
-		cd.bytesRead += si.Length
 		if crc32.Checksum(buf, castagnoli) != si.CRC32C {
 			return nil, fmt.Errorf("dataset: %s: section %q checksum mismatch (corrupt file)", cd.path, name)
 		}
@@ -780,7 +775,6 @@ func readColumnar(ctx context.Context, dir string, cfg config) (*population.Popu
 	if err != nil {
 		return nil, fmt.Errorf("dataset: interning certificate table: %w", err)
 	}
-	cfg.observer.Counter(KeyCertsInterned).Add(int64(len(refs)))
 
 	// Firmware memberships repeat heavily across handsets, so each worker
 	// shard assembles one prototype store per distinct membership row and
@@ -855,25 +849,22 @@ func readColumnar(ctx context.Context, dir string, cfg config) (*population.Popu
 			for i := start; i < end; i++ {
 				acc = append(acc, build(i, st))
 			}
-			cfg.observer.Counter(KeyBatchesMerged).Inc()
 			return acc
 		},
 		func(into, from []*population.Handset) []*population.Handset {
 			return append(into, from...)
 		},
-		parallel.WithObserver(cfg.observer),
 	)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: assembling handsets: %w", err)
 	}
-	cfg.observer.Counter(KeyReadBytes).Add(cd.bytesRead)
 	return population.Assemble(cfg.universe, handsets), nil
 }
 
 // inspectColumnar summarizes dir/handsets.col from its header and meta
 // section; with full set it reads and CRC-checks every section and decodes
 // every column, so truncation and bit-flips anywhere in the file surface.
-func inspectColumnar(dir string, cfg config, full bool) (*Info, error) {
+func inspectColumnar(dir string, full bool) (*Info, error) {
 	cd, err := openColumnar(dir)
 	if err != nil {
 		return nil, err
@@ -889,6 +880,5 @@ func inspectColumnar(dir string, cfg config, full bool) (*Info, error) {
 	} else if err := cd.readMeta(&info.Handsets, &info.Certs, &info.Sessions); err != nil {
 		return nil, err
 	}
-	cfg.observer.Counter(KeyReadBytes).Add(cd.bytesRead)
 	return info, nil
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"tangledmass/internal/analysis"
-	"tangledmass/internal/obs"
 	"tangledmass/internal/population"
 	"tangledmass/internal/rootstore"
 )
@@ -269,32 +268,5 @@ func TestJSONLVerify(t *testing.T) {
 	}
 	if _, err := NewReader(dir).Verify(ctx); err == nil {
 		t.Error("Verify accepted a JSONL dataset with dangling certificate references")
-	}
-}
-
-func TestObserverCounters(t *testing.T) {
-	p := genPop(t)
-	ctx := context.Background()
-	for _, format := range []Format{JSONL, Columnar} {
-		o := obs.New()
-		dir := t.TempDir()
-		if err := NewWriter(dir, WithFormat(format), WithObserver(o)).Write(ctx, p); err != nil {
-			t.Fatal(err)
-		}
-		if v := o.Counter(KeyWriteBytes).Value(); v == 0 {
-			t.Errorf("%s: %s = 0 after write", format, KeyWriteBytes)
-		}
-		if _, err := NewReader(dir, WithObserver(o)).Read(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if v := o.Counter(KeyReadBytes).Value(); v == 0 {
-			t.Errorf("%s: %s = 0 after read", format, KeyReadBytes)
-		}
-		if v := o.Counter(KeyCertsInterned).Value(); v == 0 {
-			t.Errorf("%s: %s = 0 after read", format, KeyCertsInterned)
-		}
-		if v := o.Counter(KeyBatchesMerged).Value(); v == 0 {
-			t.Errorf("%s: %s = 0 after read", format, KeyBatchesMerged)
-		}
 	}
 }

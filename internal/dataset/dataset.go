@@ -35,7 +35,6 @@ import (
 
 	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/corpus"
-	"tangledmass/internal/obs"
 	"tangledmass/internal/population"
 )
 
@@ -101,7 +100,6 @@ type config struct {
 	format   Format
 	corpus   *corpus.Corpus
 	universe *cauniverse.Universe
-	observer *obs.Observer
 }
 
 // Option configures a Writer or Reader.
@@ -124,13 +122,6 @@ func WithCorpus(cp *corpus.Corpus) Option {
 // against (default: the shared default universe).
 func WithUniverse(u *cauniverse.Universe) Option {
 	return func(c *config) { c.universe = u }
-}
-
-// WithObserver attaches the dataset.* counters (bytes read and written,
-// certificates interned on load, handset batches merged). Nil observers
-// no-op.
-func WithObserver(o *obs.Observer) Option {
-	return func(c *config) { c.observer = o }
 }
 
 func resolve(opts []Option) config {
@@ -245,7 +236,7 @@ func (r *Reader) Inspect(ctx context.Context) (*Info, error) {
 	}
 	switch r.format() {
 	case Columnar:
-		return inspectColumnar(r.dir, r.cfg, false)
+		return inspectColumnar(r.dir, false)
 	default:
 		return inspectJSONL(ctx, r.dir, r.cfg, false)
 	}
@@ -261,7 +252,7 @@ func (r *Reader) Verify(ctx context.Context) (*Info, error) {
 	}
 	switch r.format() {
 	case Columnar:
-		return inspectColumnar(r.dir, r.cfg, true)
+		return inspectColumnar(r.dir, true)
 	default:
 		return inspectJSONL(ctx, r.dir, r.cfg, true)
 	}

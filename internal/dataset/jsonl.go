@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"encoding/pem"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -72,19 +71,6 @@ func restorePolicies(d *device.Device, recs []PolicyRecord) {
 	}
 }
 
-// countingWriter counts bytes on their way to the underlying writer so the
-// dataset.write.bytes counter reflects actual on-disk volume.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // writeJSONL serializes p into dir as certs.pem + handsets.jsonl — the v1
 // interchange format, byte-identical to what the original Write produced.
 func writeJSONL(ctx context.Context, dir string, p *population.Population, cfg config) error {
@@ -114,8 +100,7 @@ func writeJSONL(ctx context.Context, dir string, p *population.Population, cfg c
 		return fmt.Errorf("dataset: creating handsets file: %w", err)
 	}
 	defer hf.Close()
-	hcw := &countingWriter{w: hf}
-	hw := bufio.NewWriter(hcw)
+	hw := bufio.NewWriter(hf)
 	enc := json.NewEncoder(hw)
 	for _, h := range p.Handsets {
 		if err := ctx.Err(); err != nil {
@@ -149,8 +134,7 @@ func writeJSONL(ctx context.Context, dir string, p *population.Population, cfg c
 		return fmt.Errorf("dataset: creating certs file: %w", err)
 	}
 	defer cf.Close()
-	ccw := &countingWriter{w: cf}
-	cw := bufio.NewWriter(ccw)
+	cw := bufio.NewWriter(cf)
 	fps := make([]string, 0, len(seen))
 	for fp := range seen {
 		fps = append(fps, fp)
@@ -164,7 +148,6 @@ func writeJSONL(ctx context.Context, dir string, p *population.Population, cfg c
 	if err := cw.Flush(); err != nil {
 		return fmt.Errorf("dataset: flushing certs: %w", err)
 	}
-	cfg.observer.Counter(KeyWriteBytes).Add(hcw.n + ccw.n)
 	return nil
 }
 
@@ -223,8 +206,6 @@ func readJSONL(ctx context.Context, dir string, cfg config) (*population.Populat
 	if err != nil {
 		return nil, fmt.Errorf("dataset: parsing certs: %w", err)
 	}
-	cfg.observer.Counter(KeyReadBytes).Add(int64(len(certData)))
-	cfg.observer.Counter(KeyCertsInterned).Add(int64(len(refs)))
 	byFP := make(map[string]corpus.Ref, len(refs))
 	for _, ref := range refs {
 		byFP[cfg.corpus.Entry(ref).SHA256] = ref
@@ -244,7 +225,7 @@ func readJSONL(ctx context.Context, dir string, cfg config) (*population.Populat
 	}
 
 	var handsets []*population.Handset
-	size, err := eachRecord(ctx, dir, func(rec HandsetRecord) error {
+	_, err = eachRecord(ctx, dir, func(rec HandsetRecord) error {
 		prof := device.Profile{
 			Model:        rec.Model,
 			Manufacturer: rec.Manufacturer,
@@ -282,9 +263,6 @@ func readJSONL(ctx context.Context, dir string, cfg config) (*population.Populat
 	if err != nil {
 		return nil, err
 	}
-	cfg.observer.Counter(KeyReadBytes).Add(size)
-	// A JSONL load reconstructs the population as one sequential batch.
-	cfg.observer.Counter(KeyBatchesMerged).Inc()
 	return population.Assemble(cfg.universe, handsets), nil
 }
 
@@ -303,7 +281,6 @@ func inspectJSONL(ctx context.Context, dir string, cfg config, full bool) (*Info
 		if err != nil {
 			return nil, fmt.Errorf("dataset: parsing certs: %w", err)
 		}
-		cfg.observer.Counter(KeyCertsInterned).Add(int64(len(refs)))
 		for _, ref := range refs {
 			byFP[cfg.corpus.Entry(ref).SHA256] = true
 		}
@@ -336,6 +313,5 @@ func inspectJSONL(ctx context.Context, dir string, cfg config, full bool) (*Info
 		return nil, err
 	}
 	info.Bytes += size
-	cfg.observer.Counter(KeyReadBytes).Add(info.Bytes)
 	return info, nil
 }

@@ -271,9 +271,8 @@ func Run(m *Module, analyzers []*Analyzer, opts ...RunOption) []Finding {
 }
 
 // relativePosition rewrites a position's filename relative to the module
-// root (slash-separated), so findings and baselines are stable across
-// machines. Positions already relative, or outside the root, are returned
-// unchanged.
+// root (slash-separated), so findings are stable across machines.
+// Positions already relative, or outside the root, are returned unchanged.
 func relativePosition(root string, pos token.Position) token.Position {
 	if pos.Filename == "" || !filepath.IsAbs(pos.Filename) {
 		return pos

@@ -233,7 +233,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestRelativePositions asserts every finding's path is module-root-relative
-// and slash-separated, the contract CI annotations and baselines rely on.
+// and slash-separated, the contract CI annotations rely on.
 func TestRelativePositions(t *testing.T) {
 	m := loadFixture(t)
 	for _, f := range Run(m, Analyzers()) {

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"tangledmass/internal/certgen"
-	"tangledmass/internal/obs"
 	"tangledmass/internal/resilient"
 	"tangledmass/internal/tlsnet"
 )
@@ -33,7 +32,6 @@ type Proxy struct {
 	whitelist    map[string]bool
 	intermediate *certgen.Issued
 	retry        *resilient.Retrier
-	obs          *obs.Observer
 	noLeafCache  bool
 
 	mu        sync.Mutex
@@ -77,12 +75,6 @@ func WithRetryPolicy(r *resilient.Retrier) Option {
 	return func(p *Proxy) { p.retry = r }
 }
 
-// WithObserver attaches the observer the proxy's intercept/tunnel/forge
-// counters report through. The default (nil) is silent; Stats always works.
-func WithObserver(o *obs.Observer) Option {
-	return func(p *Proxy) { p.obs = o }
-}
-
 // NewProxy builds the proxy and its on-the-fly intermediate. ca is the
 // proxy's signing root (the Reality Mine analogue), gen mints the
 // intermediate and leaf certificates, and upstream reaches the real origin
@@ -111,7 +103,7 @@ func NewProxy(ca *certgen.Issued, gen *certgen.Generator, upstream tlsnet.Dialer
 			MaxAttempts: 3,
 			BaseDelay:   10 * time.Millisecond,
 			MaxDelay:    200 * time.Millisecond,
-		}, 0).WithObserver(p.obs)
+		}, 0)
 	}
 	return p, nil
 }
@@ -136,13 +128,11 @@ func (p *Proxy) DialSite(ctx context.Context, host string, port int) (net.Conn, 
 		p.mu.Lock()
 		p.stats.Tunneled++
 		p.mu.Unlock()
-		p.obs.Counter(KeyTunneled).Inc()
 		return p.dialUpstream(ctx, host, port)
 	}
 	p.mu.Lock()
 	p.stats.Intercepted++
 	p.mu.Unlock()
-	p.obs.Counter(KeyIntercepted).Inc()
 	client, server := net.Pipe()
 	// The proxied session outlives the dial: the handset's dial ctx bounds
 	// connection establishment, not the relay's lifetime, so the serve
@@ -206,7 +196,6 @@ func (p *Proxy) dialUpstream(ctx context.Context, host string, port int) (net.Co
 		p.mu.Lock()
 		p.stats.UpstreamFailures++
 		p.mu.Unlock()
-		p.obs.Counter(KeyUpstreamExhausted).Inc()
 		return nil, err
 	}
 	return conn, nil
@@ -219,7 +208,6 @@ func (p *Proxy) forgedLeaf(host string) (*tls.Certificate, error) {
 		p.mu.Lock()
 		if c, ok := p.leafCache[host]; ok {
 			p.mu.Unlock()
-			p.obs.Counter(KeyLeafCacheHits).Inc()
 			return c, nil
 		}
 		p.mu.Unlock()
@@ -240,6 +228,5 @@ func (p *Proxy) forgedLeaf(host string) (*tls.Certificate, error) {
 		p.leafCache[host] = cert
 	}
 	p.mu.Unlock()
-	p.obs.Counter(KeyLeavesForged).Inc()
 	return cert, nil
 }

@@ -441,57 +441,6 @@ func (p *Population) emitSessions() {
 // TotalSessions returns the number of sessions generated.
 func (p *Population) TotalSessions() int { return len(p.Sessions) }
 
-// ExtendedSessionFraction returns the share of sessions whose store carries
-// certificates beyond its AOSP base (§5's 39%).
-func (p *Population) ExtendedSessionFraction() float64 {
-	if len(p.Sessions) == 0 {
-		return 0
-	}
-	n := 0
-	for _, s := range p.Sessions {
-		if s.Handset.ExtraCount > 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(p.Sessions))
-}
-
-// RootedSessionFraction returns the share of sessions on rooted handsets
-// (§6's 24%).
-func (p *Population) RootedSessionFraction() float64 {
-	if len(p.Sessions) == 0 {
-		return 0
-	}
-	n := 0
-	for _, s := range p.Sessions {
-		if s.Handset.Rooted {
-			n++
-		}
-	}
-	return float64(n) / float64(len(p.Sessions))
-}
-
-// UniqueRootIdentities counts distinct root identities across all handset
-// stores (§4.1 reports 314 unique root certificates). The set union is a
-// sharded fold on the parallel engine over identity-handle bitsets; set
-// union is order-insensitive, and the error is ctx cancellation only,
-// which the background context never produces.
-func (p *Population) UniqueRootIdentities() int {
-	seen, _ := parallel.Accumulate(context.Background(), len(p.Handsets),
-		func() *rootstore.IdentitySet { return &rootstore.IdentitySet{} },
-		func(seen *rootstore.IdentitySet, start, end int) *rootstore.IdentitySet {
-			for i := start; i < end; i++ {
-				seen.AddStore(p.Handsets[i].Store)
-			}
-			return seen
-		},
-		func(into, from *rootstore.IdentitySet) *rootstore.IdentitySet {
-			into.Merge(from)
-			return into
-		})
-	return seen.Len()
-}
-
 // Default generates the paper-scale population with seed 1 — the
 // configuration every table and figure is produced from.
 func Default() (*Population, error) {

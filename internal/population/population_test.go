@@ -81,20 +81,6 @@ func TestHandsetAndModelCounts(t *testing.T) {
 	}
 }
 
-func TestExtendedFraction(t *testing.T) {
-	p := paperPopulation(t)
-	if f := p.ExtendedSessionFraction(); f < 0.36 || f > 0.43 {
-		t.Errorf("extended-store session fraction = %.3f, want ≈0.39 (§5)", f)
-	}
-}
-
-func TestRootedFraction(t *testing.T) {
-	p := paperPopulation(t)
-	if f := p.RootedSessionFraction(); f < 0.21 || f > 0.27 {
-		t.Errorf("rooted session fraction = %.3f, want ≈0.24 (§6)", f)
-	}
-}
-
 func TestRootedExclusiveShare(t *testing.T) {
 	p := paperPopulation(t)
 	rooted, excl := 0, 0
@@ -268,20 +254,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestScaledPopulation(t *testing.T) {
-	p := smallPopulation(t, 1)
-	want := 0
-	for _, q := range quotas {
-		want += int(float64(q.sessions)*0.05 + 0.5)
-	}
-	if p.TotalSessions() != want {
-		t.Errorf("scaled sessions = %d, want %d", p.TotalSessions(), want)
-	}
-	if f := p.RootedSessionFraction(); f < 0.12 || f > 0.36 {
-		t.Errorf("scaled rooted fraction = %.3f, want near 0.24", f)
-	}
-}
-
 func TestSessionsReferenceHandsets(t *testing.T) {
 	p := smallPopulation(t, 1)
 	counts := map[*Handset]int{}
@@ -308,13 +280,6 @@ func TestHandsetCountsConsistent(t *testing.T) {
 		if h.AOSPCount+h.MissingCount != aosp.Len() {
 			t.Fatalf("handset %d: AOSP(%d)+Missing(%d) != base(%d)", h.ID, h.AOSPCount, h.MissingCount, aosp.Len())
 		}
-	}
-}
-
-func TestUniqueRootsNearPaper(t *testing.T) {
-	p := paperPopulation(t)
-	if n := p.UniqueRootIdentities(); n < 260 || n > 380 {
-		t.Errorf("unique root identities = %d, want ≈314 (§4.1)", n)
 	}
 }
 

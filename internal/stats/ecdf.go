@@ -93,24 +93,3 @@ func (e *ECDF) MarshalJSON() ([]byte, error) {
 		Series     []Point `json:"series"`
 	}{N: e.Len(), ZeroOffset: e.ZeroFraction(), Series: e.Series()})
 }
-
-// Mean returns the arithmetic mean of the sample, or 0 if empty.
-func Mean(sample []float64) float64 {
-	if len(sample) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range sample {
-		sum += v
-	}
-	return sum / float64(len(sample))
-}
-
-// Sum returns the sum of the sample.
-func Sum(sample []float64) float64 {
-	var sum float64
-	for _, v := range sample {
-		sum += v
-	}
-	return sum
-}

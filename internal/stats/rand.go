@@ -38,13 +38,6 @@ func (s *Source) Float64() float64 { return s.r.Float64() }
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.r.Float64() < p }
 
-// Fork derives an independent child source. The child stream is a pure
-// function of the parent stream position, so forking keeps generation
-// deterministic while letting subsystems consume randomness independently.
-func (s *Source) Fork() *Source {
-	return NewSource(s.r.Int63())
-}
-
 // PickWeighted returns an index in [0, len(weights)) chosen with probability
 // proportional to weights[i]. It panics if weights is empty or sums to a
 // non-positive value.

@@ -16,31 +16,6 @@ func TestSourceDeterminism(t *testing.T) {
 	}
 }
 
-func TestSourceForkDeterminism(t *testing.T) {
-	a := NewSource(7).Fork()
-	b := NewSource(7).Fork()
-	for i := 0; i < 50; i++ {
-		if a.Float64() != b.Float64() {
-			t.Fatalf("forked sources with same lineage diverged at step %d", i)
-		}
-	}
-}
-
-func TestSourceForkIndependence(t *testing.T) {
-	parent := NewSource(7)
-	child := parent.Fork()
-	// Consuming the child must not change what the parent produces next
-	// relative to a parent that forked but whose child was unused.
-	parent2 := NewSource(7)
-	_ = parent2.Fork()
-	for i := 0; i < 1000; i++ {
-		child.Float64()
-	}
-	if parent.Int63() != parent2.Int63() {
-		t.Fatal("consuming a fork perturbed the parent stream")
-	}
-}
-
 func TestPickWeighted(t *testing.T) {
 	src := NewSource(1)
 	weights := []float64{0, 1, 0}
@@ -246,17 +221,5 @@ func TestECDFMonotonic(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMeanSum(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) should be 0")
-	}
-	if m := Mean([]float64{1, 2, 3}); m != 2 {
-		t.Errorf("Mean = %v, want 2", m)
-	}
-	if s := Sum([]float64{1, 2, 3}); s != 6 {
-		t.Errorf("Sum = %v, want 6", s)
 	}
 }

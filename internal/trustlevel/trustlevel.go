@@ -13,11 +13,9 @@ package trustlevel
 
 import (
 	"crypto/x509"
-	"time"
 
 	"tangledmass/internal/cauniverse"
 	"tangledmass/internal/certid"
-	"tangledmass/internal/chain"
 	"tangledmass/internal/corpus"
 	"tangledmass/internal/rootstore"
 )
@@ -39,26 +37,6 @@ const AllUsages = ServerAuth | EmailProtection | CodeSigning
 
 // Has reports whether u includes all bits of q.
 func (u Usage) Has(q Usage) bool { return u&q == q }
-
-// String renders the mask.
-func (u Usage) String() string {
-	if u == 0 {
-		return "none"
-	}
-	s := ""
-	add := func(bit Usage, name string) {
-		if u.Has(bit) {
-			if s != "" {
-				s += "+"
-			}
-			s += name
-		}
-	}
-	add(ServerAuth, "server-auth")
-	add(EmailProtection, "email")
-	add(CodeSigning, "code-signing")
-	return s
-}
 
 // Policy is a root store with per-root usage masks. Construct with
 // NewPolicy; roots without an explicit mask get the default.
@@ -106,12 +84,6 @@ func (p *Policy) RootsFor(u Usage) []*x509.Certificate {
 		}
 	}
 	return out
-}
-
-// VerifierFor builds a chain verifier restricted to the roots trusted for
-// usage u.
-func (p *Policy) VerifierFor(u Usage, intermediates []*x509.Certificate, at time.Time) *chain.Verifier {
-	return chain.NewVerifier(p.RootsFor(u), intermediates, at)
 }
 
 // AndroidPolicy models the platform as shipped: every root in the store is

@@ -29,7 +29,7 @@ echo "==> perfbench: vet + test the benchmark module"
 (cd perfbench && go vet ./... && go test ./...)
 
 echo "==> tangledlint ./..."
-go run ./cmd/tangledlint -baseline lint-baseline.txt ./...
+go run ./cmd/tangledlint ./...
 
 echo "==> metrics-smoke: debug endpoints and the notaryd lifecycle"
 ./scripts/metrics_smoke.sh
