@@ -116,9 +116,6 @@ func TestHeadlines(t *testing.T) {
 	if h.TotalSessions != 15970 {
 		t.Errorf("sessions = %d", h.TotalSessions)
 	}
-	if h.UniqueRoots < 260 || h.UniqueRoots > 380 {
-		t.Errorf("unique roots = %d, want ≈314 (§4.1)", h.UniqueRoots)
-	}
 	if h.ExtendedFraction < 0.36 || h.ExtendedFraction > 0.43 {
 		t.Errorf("extended = %.3f, want ≈0.39", h.ExtendedFraction)
 	}

@@ -1,5 +1,7 @@
 package population
 
+import "testing"
+
 // ScaledSessions is the session total Generate targets at scale: each
 // model's quota is scaled and rounded on its own.
 func ScaledSessions(scale float64) int {
@@ -9,3 +11,7 @@ func ScaledSessions(scale float64) int {
 	}
 	return n
 }
+
+// PaperPopulation is paperPopulation for the external tests, so both share
+// the one cached paper-scale fleet.
+func PaperPopulation(t *testing.T) *Population { return paperPopulation(t) }
