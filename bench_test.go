@@ -229,18 +229,6 @@ func BenchmarkSection5Headlines(b *testing.B) {
 	}
 }
 
-// BenchmarkSection6Rooted computes the rooted-handset shares, which the
-// headline pass derives with the §5 numbers.
-func BenchmarkSection6Rooted(b *testing.B) {
-	f := benchFixtures(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if analysis.ComputeHeadlines(f.pop).RootedFraction <= 0 {
-			b.Fatal("no rooted sessions")
-		}
-	}
-}
-
 // BenchmarkSection7MITMThroughput measures intercepted TLS sessions per
 // second through the proxy (leaf cache warm).
 func BenchmarkSection7MITMThroughput(b *testing.B) {

@@ -60,33 +60,18 @@ type trustAttrKey struct {
 	api     int
 }
 
-type trustAttrAgg struct {
-	counts map[trustAttrKey]int
-}
-
-// newTrustAttrAgg counts sessions per (cause, channel, API level) cell.
-// Counting is commutative, so merge order cannot change the result.
-func newTrustAttrAgg() *trustAttrAgg {
-	return &trustAttrAgg{counts: map[trustAttrKey]int{}}
-}
-
-func (a *trustAttrAgg) add(b batch) {
-	for _, s := range b.sessions {
-		a.counts[trustAttrKey{
+// ComputeTrustAttribution attributes every session's interceptability to the
+// trust-decision layer that would fail it. It is the one fleet analysis
+// that walks sessions: a handset's app policy rotates per session.
+func ComputeTrustAttribution(p *population.Population) TrustAttribution {
+	counts := map[trustAttrKey]int{}
+	for _, s := range p.Sessions {
+		counts[trustAttrKey{
 			cause:   trusteval.Attribute(sessionSignals(s)),
 			channel: s.Handset.TamperChannel(),
 			api:     device.APILevel(s.Handset.Version),
 		}]++
 	}
-}
-
-func (a *trustAttrAgg) merge(o *trustAttrAgg) {
-	for k, n := range o.counts {
-		a.counts[k] += n
-	}
-}
-
-func (a *trustAttrAgg) result() TrustAttribution {
 	causeOrder := map[trusteval.Cause]int{}
 	for i, c := range trusteval.Causes() {
 		causeOrder[c] = i
@@ -95,7 +80,7 @@ func (a *trustAttrAgg) result() TrustAttribution {
 	for i, c := range trusteval.Causes() {
 		out.ByCause[i].Cause = string(c)
 	}
-	for k, n := range a.counts {
+	for k, n := range counts {
 		out.TotalSessions += n
 		out.ByCause[causeOrder[k.cause]].Sessions += n
 		if k.cause != trusteval.CauseClean {
@@ -119,10 +104,4 @@ func (a *trustAttrAgg) result() TrustAttribution {
 		return a.APILevel < b.APILevel
 	})
 	return out
-}
-
-// ComputeTrustAttribution attributes every session's interceptability to the
-// trust-decision layer that would fail it.
-func ComputeTrustAttribution(p *population.Population) TrustAttribution {
-	return reduce(p, newTrustAttrAgg)
 }

@@ -94,14 +94,6 @@ func SHA256Fingerprint(cert *x509.Certificate) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// MD5Fingerprint returns the hex MD5 of the certificate's DER encoding.
-// Legacy tooling (and the Notary's historical database) still keys by MD5;
-// the corpus precomputes it alongside the SHA fingerprints.
-func MD5Fingerprint(cert *x509.Certificate) string {
-	sum := md5.Sum(cert.Raw)
-	return hex.EncodeToString(sum[:])
-}
-
 // SubjectHash32 returns a 32-bit hash of the certificate subject in the style
 // of OpenSSL's X509_NAME_hash_old (MD5 over the DER-encoded subject name,
 // first four bytes interpreted little-endian). Android names root-store files

@@ -98,10 +98,9 @@ type Entry struct {
 	// IdentityRef is the corpus's handle for Identity, shared with every
 	// equivalent entry.
 	IdentityRef IdentityRef
-	// SHA1, SHA256 and MD5 are hex fingerprints of the DER encoding.
+	// SHA1 and SHA256 are hex fingerprints of the DER encoding.
 	SHA1   string
 	SHA256 string
-	MD5    string
 	// SubjectHash is the 32-bit OpenSSL-style subject hash used in Android
 	// cacerts file names.
 	SubjectHash uint32
@@ -129,7 +128,6 @@ func newEntry(sum Digest, der []byte, cert *x509.Certificate) *Entry {
 		Identity:    id,
 		SHA1:        certid.SHA1Fingerprint(cert),
 		SHA256:      sum.Hex(),
-		MD5:         certid.MD5Fingerprint(cert),
 		SubjectHash: certid.SubjectHash32(cert),
 		Digest:      sum,
 		SubjectKey:  nameKey(cert.RawSubject),

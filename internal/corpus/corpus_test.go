@@ -119,9 +119,6 @@ func TestEntryPrecomputedFields(t *testing.T) {
 	if e.SHA256 != certid.SHA256Fingerprint(cert) {
 		t.Error("precomputed SHA-256 disagrees with certid")
 	}
-	if e.MD5 != certid.MD5Fingerprint(cert) {
-		t.Error("precomputed MD5 disagrees with certid")
-	}
 	if e.SubjectHash != certid.SubjectHash32(cert) {
 		t.Error("precomputed subject hash disagrees with certid")
 	}

@@ -107,7 +107,6 @@ func (d *Detector) Inspect(p netalyzr.ProbeResult) Finding {
 	f.Eval = d.engine().Evaluate(trusteval.Request{
 		Chain:  p.Chain,
 		Host:   p.Target.Host,
-		Port:   p.Target.Port,
 		Store:  d.Reference,
 		Policy: d.Policy,
 	})

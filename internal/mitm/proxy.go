@@ -26,7 +26,6 @@ import (
 // same topology as the §7 handset whose tun interface routed all traffic to
 // the marketing proxy. Construct with NewProxy.
 type Proxy struct {
-	ca           *certgen.Issued
 	generator    *certgen.Generator
 	upstream     tlsnet.Dialer
 	whitelist    map[string]bool
@@ -84,7 +83,6 @@ func NewProxy(ca *certgen.Issued, gen *certgen.Generator, upstream tlsnet.Dialer
 		return nil, fmt.Errorf("mitm: proxy needs a CA, a generator and an upstream dialer")
 	}
 	p := &Proxy{
-		ca:        ca,
 		generator: gen,
 		upstream:  upstream,
 		whitelist: make(map[string]bool),

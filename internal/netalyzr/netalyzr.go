@@ -198,7 +198,6 @@ func (c *Client) probe(ctx context.Context, store *rootstore.Store, hp tlsnet.Ho
 	res.Verdict = c.engine.Evaluate(trusteval.Request{
 		Chain:  res.Chain,
 		Host:   hp.Host,
-		Port:   hp.Port,
 		Store:  store,
 		Policy: c.policy,
 	})

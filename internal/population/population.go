@@ -94,7 +94,6 @@ func sessionTime(id int) time.Time {
 
 // Population is the generated fleet.
 type Population struct {
-	Config   Config
 	Universe *cauniverse.Universe
 	Handsets []*Handset
 	Sessions []*Session
@@ -111,7 +110,7 @@ func Generate(cfg Config) (*Population, error) {
 		scale = 1.0
 	}
 	src := stats.NewSource(cfg.Seed)
-	p := &Population{Config: cfg, Universe: u}
+	p := &Population{Universe: u}
 
 	missingBudget := 5
 	if scale < 1 {

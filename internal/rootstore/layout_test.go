@@ -132,8 +132,8 @@ func TestCrossCorpusReissued(t *testing.T) {
 	if left.Len() != 3 || right.Len() != 3 {
 		t.Fatalf("single-corpus sets hold %d and %d identities, want 3 and 3", left.Len(), right.Len())
 	}
-	left.Merge(&right)
+	left.AddStore(b)
 	if n := left.Len(); n != 4 {
-		t.Errorf("merged identity set holds %d identities, want 4", n)
+		t.Errorf("two-corpus identity set holds %d identities, want 4", n)
 	}
 }

@@ -392,19 +392,6 @@ func (s *IdentitySet) AddStore(st *Store) {
 	}
 }
 
-// Merge adds every identity of o.
-func (s *IdentitySet) Merge(o *IdentitySet) {
-	for k, c := range o.corpora {
-		if len(o.bits[k]) == 0 {
-			continue
-		}
-		w := s.words(c, corpus.IdentityRef(len(o.bits[k])<<6-1))
-		for i, b := range o.bits[k] {
-			w[i] |= b
-		}
-	}
-}
-
 // Len returns the number of distinct identities in the set.
 func (s *IdentitySet) Len() int {
 	if len(s.corpora) <= 1 {

@@ -88,7 +88,6 @@ type Leaf struct {
 
 // World is the generated TLS internet.
 type World struct {
-	cfg           Config
 	universe      *cauniverse.Universe
 	internetRoots []*certgen.Issued
 	intermediates map[string]*certgen.Issued // per popular root
@@ -107,7 +106,7 @@ var ports = []struct {
 func NewWorld(cfg Config) (*World, error) {
 	cfg = cfg.withDefaults()
 	u := cfg.Universe
-	w := &World{cfg: cfg, universe: u, intermediates: make(map[string]*certgen.Issued)}
+	w := &World{universe: u, intermediates: make(map[string]*certgen.Issued)}
 	src := stats.NewSource(cfg.Seed)
 	gen := u.Generator()
 

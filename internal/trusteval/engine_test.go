@@ -73,7 +73,7 @@ func TestCleanConnection(t *testing.T) {
 	p := buildPKI(t)
 	e := trusteval.New(certgen.Epoch, trusteval.WithReference(p.officials))
 	v := e.Evaluate(trusteval.Request{
-		Chain: goodChain(p), Host: "good.example.com", Port: 443,
+		Chain: goodChain(p), Host: "good.example.com",
 		Store: p.officials, Policy: device.ValidationPolicy{},
 	})
 	if v.Chain != trusteval.OutcomePass || v.Hostname != trusteval.OutcomePass {
@@ -104,7 +104,7 @@ func TestAcceptAllValidatesForgedChain(t *testing.T) {
 	p := buildPKI(t)
 	e := trusteval.New(certgen.Epoch, trusteval.WithReference(p.officials))
 	req := trusteval.Request{
-		Chain: forgedChain(p), Host: "good.example.com", Port: 443,
+		Chain: forgedChain(p), Host: "good.example.com",
 		Store: p.officials,
 	}
 
@@ -139,7 +139,7 @@ func TestStoreTamperingAttribution(t *testing.T) {
 	p := buildPKI(t)
 	e := trusteval.New(certgen.Epoch, trusteval.WithReference(p.officials))
 	v := e.Evaluate(trusteval.Request{
-		Chain: forgedChain(p), Host: "good.example.com", Port: 443,
+		Chain: forgedChain(p), Host: "good.example.com",
 		Store: p.tampered, Policy: device.ValidationPolicy{},
 	})
 	if !v.Accepted || v.Chain != trusteval.OutcomePass {
@@ -157,7 +157,7 @@ func TestSkipHostnamePolicy(t *testing.T) {
 	p := buildPKI(t)
 	e := trusteval.New(certgen.Epoch, trusteval.WithReference(p.officials))
 	req := trusteval.Request{
-		Chain: goodChain(p), Host: "other.example.com", Port: 443,
+		Chain: goodChain(p), Host: "other.example.com",
 		Store: p.officials, Policy: device.ValidationPolicy{},
 	}
 	strict := e.Evaluate(req)
@@ -199,7 +199,7 @@ func TestEngineHostnameEdgeCases(t *testing.T) {
 	e := trusteval.New(certgen.Epoch)
 	eval := func(leaf *certgen.Issued, host string) trusteval.Verdict {
 		return e.Evaluate(trusteval.Request{
-			Chain: []*x509.Certificate{leaf.Cert, p.inter.Cert}, Host: host, Port: 443,
+			Chain: []*x509.Certificate{leaf.Cert, p.inter.Cert}, Host: host,
 			Store: p.officials, Policy: device.ValidationPolicy{},
 		})
 	}

@@ -131,10 +131,8 @@ type Request struct {
 	// Chain is the presented certificate chain, leaf first. Empty means
 	// the handshake never produced one (connection error).
 	Chain []*x509.Certificate
-	// Host and Port identify the requested endpoint; Host drives the
-	// hostname layer.
+	// Host names the requested endpoint and drives the hostname layer.
 	Host string
-	Port int
 	// Store is the device's effective trust set (system + user − disabled).
 	Store *rootstore.Store
 	// Policy is the validating app's behaviour. The zero value is the
